@@ -1,17 +1,7 @@
 #include "upa/dispatch/front.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <random>
 #include <utility>
@@ -24,54 +14,7 @@ namespace upa::dispatch {
 
 namespace {
 
-constexpr std::size_t kMaxLineBytes = 1 << 20;
-constexpr int kAcceptPollMillis = 100;
 constexpr std::size_t kOutcomeCount = 5;  // AttemptOutcome cardinality
-
-void set_io_timeouts(int fd, double seconds) {
-  if (seconds <= 0.0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - static_cast<double>(
-                                                       tv.tv_sec)) *
-                                        1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-}
-
-bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_line(int fd, std::string& buffer, std::string& line) {
-  for (;;) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline != std::string::npos) {
-      line.assign(buffer, 0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return true;
-    }
-    if (buffer.size() > kMaxLineBytes) return false;
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-}
 
 AttemptOutcome from_call_outcome(serve::CallOutcome outcome) {
   switch (outcome) {
@@ -96,7 +39,31 @@ Front::Front(FrontConfig config)
     : config_(std::move(config)),
       pool_(config_.upstreams),
       balancer_(pool_, config_.policy),
-      jitter_rng_(config_.retry.jitter_seed) {
+      jitter_rng_(config_.retry.jitter_seed),
+      connections_(
+          serve::ConnectionServerConfig{
+              .bind_address = config_.bind_address,
+              .port = config_.port,
+              .workers = config_.workers,
+              .capacity = config_.max_clients,
+              .read_timeout_seconds = config_.read_timeout_seconds,
+              .telemetry_process = config_.telemetry_process,
+              .process_kind = "upa_dispatch",
+              .reject_message =
+                  [](std::size_t capacity) {
+                    return "dispatcher at max_clients (" +
+                           std::to_string(capacity) + ")";
+                  },
+              .fill_metrics =
+                  [this](obs::MetricsRegistry& metrics) {
+                    publish_metrics(metrics);
+                  },
+              .obs = config_.obs,
+              .span_mutex = &latency_mutex_},
+          [this](const std::string& line,
+                 const serve::RequestContext& context) {
+            return respond_line(line, context);
+          }) {
   UPA_REQUIRE(config_.workers >= 1, "FrontConfig.workers must be >= 1");
   UPA_REQUIRE(config_.max_clients >= config_.workers,
               "FrontConfig.max_clients must be >= workers");
@@ -135,121 +102,28 @@ Front::Front(FrontConfig config)
 Front::~Front() { stop(); }
 
 void Front::start() {
-  std::lock_guard<std::mutex> stop_lock(stop_mutex_);
-  UPA_REQUIRE(!started_, "Front::start called twice");
-
-  // SOCK_CLOEXEC: replica restarts fork from this process mid-run; a
-  // child inheriting live sockets would suppress EOF for every peer.
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  UPA_REQUIRE(listen_fd_ >= 0,
-              std::string("socket() failed: ") + std::strerror(errno));
-
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw common::ModelError("FrontConfig.bind_address is not an IPv4 "
-                             "address: " +
-                             config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw common::ModelError("bind(" + config_.bind_address + ":" +
-                             std::to_string(config_.port) +
-                             ") failed: " + reason);
-  }
-  if (::listen(listen_fd_, 256) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw common::ModelError("listen() failed: " + reason);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  port_ = ntohs(bound.sin_port);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = false;
-    queue_.clear();
-    in_system_ = 0;
-  }
-  accept_stop_.store(false);
-
-  serve::TelemetryStreamerOptions telemetry;
-  telemetry.process = config_.telemetry_process.empty()
-                          ? "upa_dispatch:" + std::to_string(port_)
-                          : config_.telemetry_process;
-  telemetry.io_timeout_seconds = config_.read_timeout_seconds;
-  telemetry.fill_metrics = [this](obs::MetricsRegistry& metrics) {
-    publish_metrics(metrics);
-  };
-  telemetry.copy_spans = [this](std::size_t& cursor) {
-    std::vector<obs::Span> out;
-    std::lock_guard<std::mutex> lock(latency_mutex_);
-    if (config_.obs == nullptr) return out;
-    const std::vector<obs::Span>& spans = config_.obs->tracer.spans();
-    for (; cursor < spans.size(); ++cursor) out.push_back(spans[cursor]);
-    return out;
-  };
-  telemetry.dropped_spans = [this]() -> std::uint64_t {
-    std::lock_guard<std::mutex> lock(latency_mutex_);
-    return config_.obs == nullptr ? 0 : config_.obs->tracer.dropped();
-  };
-  telemetry_ = std::make_unique<serve::TelemetryStreamer>(
-      std::move(telemetry));
-
-  started_ = true;
-  running_.store(true);
-
+  std::lock_guard<std::mutex> lock(start_stop_mutex_);
   health_->start();  // initial sweep runs before any traffic is forwarded
-  acceptor_ = std::thread([this] { acceptor_loop(); });
-  workers_.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    connections_.start();
+  } catch (...) {
+    health_->stop();
+    throw;
   }
 }
 
 void Front::stop() {
-  std::lock_guard<std::mutex> stop_lock(stop_mutex_);
-  if (!started_) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-    for (const int fd : parked_fds_) ::shutdown(fd, SHUT_RD);
-  }
-  accept_stop_.store(true);
-  work_ready_.notify_all();
-  if (acceptor_.joinable()) acceptor_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
+  std::lock_guard<std::mutex> lock(start_stop_mutex_);
+  connections_.stop();
   health_->stop();
-  if (telemetry_ != nullptr) telemetry_->stop();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  started_ = false;
-  running_.store(false);
 }
 
 FrontStats Front::stats() const {
+  const serve::ConnectionStats c = connections_.stats();
   FrontStats s;
-  s.accepted = accepted_.load();
-  s.rejected = rejected_.load();
-  s.completed = completed_.load();
+  s.accepted = c.accepted;
+  s.rejected = c.rejected;
+  s.completed = c.completed;
   s.requests = requests_.load();
   s.forwarded_ok = forwarded_ok_.load();
   s.forwarded_rejected = forwarded_rejected_.load();
@@ -260,11 +134,8 @@ FrontStats Front::stats() const {
   s.failovers = failovers_.load();
   s.retries_exhausted = retries_exhausted_.load();
   s.stats_served = stats_served_.load();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s.in_system = in_system_;
-  }
-  s.max_in_system = max_in_system_.load();
+  s.in_system = c.in_system;
+  s.max_in_system = c.max_in_system;
   return s;
 }
 
@@ -620,7 +491,7 @@ std::string Front::dispatch_stats_line(const std::string& line) {
 }
 
 std::string Front::respond_line(const std::string& line,
-                                std::uint64_t conn, std::uint64_t seq) {
+                                const serve::RequestContext& context) {
   requests_.fetch_add(1);
   bool is_dispatch_stats = false;
   try {
@@ -637,7 +508,8 @@ std::string Front::respond_line(const std::string& line,
   }
   if (is_dispatch_stats) return dispatch_stats_line(line);
 
-  const ForwardResult fr = forward_line_traced(line, conn, seq);
+  const ForwardResult fr =
+      forward_line_traced(line, context.conn, context.seq);
   // Counters classify the response the client actually got: a spent
   // budget surfaces as the 503 retries_exhausted envelope, so it counts
   // as a rejection regardless of how the last attempt died.
@@ -653,190 +525,6 @@ std::string Front::respond_line(const std::string& line,
       break;
   }
   return fr.response_line;
-}
-
-void Front::acceptor_loop() {
-  const std::string reject_line =
-      serve::make_error_response(serve::Json(), serve::ErrorCode::kQueueFull,
-                                 "dispatcher at max_clients (" +
-                                     std::to_string(config_.max_clients) +
-                                     ")")
-          .dump() +
-      "\n";
-
-  while (!accept_stop_.load()) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, kAcceptPollMillis);
-    if (ready <= 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-
-    bool admitted = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!stopping_ && in_system_ < config_.max_clients) {
-        ++in_system_;
-        std::size_t seen = max_in_system_.load();
-        while (in_system_ > seen &&
-               !max_in_system_.compare_exchange_weak(seen, in_system_)) {
-        }
-        queue_.push_back(Job{fd});
-        admitted = true;
-      }
-    }
-    if (admitted) {
-      accepted_.fetch_add(1);
-      work_ready_.notify_one();
-      continue;
-    }
-
-    rejected_.fetch_add(1);
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    (void)::send(fd, reject_line.data(), reject_line.size(), MSG_NOSIGNAL);
-    ::close(fd);
-  }
-}
-
-void Front::worker_loop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock,
-                       [this] { return !queue_.empty() || stopping_; });
-      if (queue_.empty()) return;
-      job = queue_.front();
-      queue_.pop_front();
-    }
-    handle_connection(job);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_system_;
-    }
-    completed_.fetch_add(1);
-  }
-}
-
-void Front::handle_connection(const Job& job) {
-  set_io_timeouts(job.fd, config_.read_timeout_seconds);
-  const std::uint64_t conn = conn_serial_.fetch_add(1) + 1;
-  std::uint64_t seq = 0;
-  std::string buffer;
-  bool first_request = true;
-  for (;;) {
-    std::string line;
-    if (first_request) {
-      if (!read_line(job.fd, buffer, line)) break;
-    } else {
-      if (!park_for_next_request(job.fd)) break;
-      const bool got = read_line(job.fd, buffer, line);
-      unpark(job.fd);
-      if (!got) break;
-    }
-    first_request = false;
-    if (line.empty()) continue;
-    switch (maybe_subscribe(job.fd, line)) {
-      case 1:
-        // The telemetry streamer owns the fd now; the worker slot is
-        // released when this returns. A subscriber to the front never
-        // counts against the upstreams' admission -- the front never
-        // forwards subscribe.
-        return;
-      case 2:
-        continue;
-      default:
-        break;
-    }
-    const std::string response = respond_line(line, conn, seq++);
-    if (!send_all(job.fd, response + "\n")) break;
-  }
-  ::close(job.fd);
-}
-
-int Front::maybe_subscribe(int fd, const std::string& line) {
-  // Cheap pre-filter: almost every request line lacks the literal and
-  // skips the extra parse entirely.
-  if (line.find("subscribe") == std::string::npos) return 0;
-  serve::Json request;
-  try {
-    request = serve::parse_json(line);
-  } catch (const std::exception&) {
-    return 0;  // forwarded; the upstream produces the canonical 400
-  }
-  if (!request.is_object()) return 0;
-  const serve::Json* method = request.find("method");
-  if (method == nullptr || !method->is_string() ||
-      method->as_string() != "subscribe") {
-    return 0;
-  }
-  const serve::Json* id_member = request.find("id");
-  const serve::Json id = id_member != nullptr ? *id_member : serve::Json();
-
-  double interval_ms = 500.0;
-  const serve::Json* params = request.find("params");
-  if (params != nullptr && !params->is_object() && !params->is_null()) {
-    (void)send_all(fd, serve::make_error_response(
-                           id, serve::ErrorCode::kBadRequest,
-                           "'params' must be an object when present")
-                               .dump() +
-                           "\n");
-    return 2;
-  }
-  if (params != nullptr && params->is_object()) {
-    if (const serve::Json* v = params->find("interval_ms"); v != nullptr) {
-      if (!v->is_number() || !(v->as_number() >= 10.0) ||
-          !(v->as_number() <= 60000.0)) {
-        (void)send_all(
-            fd, serve::make_error_response(
-                    id, serve::ErrorCode::kBadRequest,
-                    "param 'interval_ms' must be a number in [10, 60000]")
-                        .dump() +
-                    "\n");
-        return 2;
-      }
-      interval_ms = v->as_number();
-    }
-  }
-
-  serve::Json result = serve::Json::object();
-  result.set("subscribed", serve::Json(true));
-  result.set("process",
-             serve::Json(config_.telemetry_process.empty()
-                             ? "upa_dispatch:" + std::to_string(port_)
-                             : config_.telemetry_process));
-  result.set("interval_ms", serve::Json(interval_ms));
-  const std::string ack =
-      serve::make_result_response(id, std::move(result)).dump();
-  if (telemetry_ == nullptr ||
-      !telemetry_->add_subscriber(fd, interval_ms / 1000.0, ack)) {
-    (void)send_all(fd, serve::make_error_response(
-                           id, serve::ErrorCode::kQueueFull,
-                           "telemetry subscriber limit reached")
-                               .dump() +
-                           "\n");
-    return 2;
-  }
-  return 1;
-}
-
-bool Front::park_for_next_request(int fd) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_) return false;
-  parked_fds_.push_back(fd);
-  return true;
-}
-
-void Front::unpark(int fd) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = parked_fds_.begin(); it != parked_fds_.end(); ++it) {
-    if (*it == fd) {
-      parked_fds_.erase(it);
-      return;
-    }
-  }
 }
 
 }  // namespace upa::dispatch

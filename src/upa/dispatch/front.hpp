@@ -21,16 +21,18 @@
 // One locally-served method, `dispatch_stats`, reports front counters
 // and per-upstream state over RPC; every other method (including the
 // upstreams' own `stats`) is forwarded untouched.
+//
+// Accept, admission (503 at `max_clients`), the worker pool, keep-alive,
+// the `subscribe` handoff and the graceful drain are the shared
+// serve::ConnectionServer (upa/serve/connection_server.hpp) -- the same
+// one upa_served runs; this class is its request handler.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "upa/dispatch/balancer.hpp"
@@ -38,8 +40,8 @@
 #include "upa/dispatch/upstream.hpp"
 #include "upa/obs/metrics.hpp"
 #include "upa/obs/observer.hpp"
+#include "upa/serve/connection_server.hpp"
 #include "upa/serve/protocol.hpp"
-#include "upa/serve/telemetry.hpp"
 #include "upa/sim/rng.hpp"
 
 namespace upa::dispatch {
@@ -144,11 +146,16 @@ class Front {
   /// acceptor, workers, and the health checker.
   void start();
 
-  /// Graceful drain, mirroring serve::Server::stop(). Idempotent.
+  /// Graceful drain (serve::ConnectionServer::stop), then stops the
+  /// health checker. Idempotent.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept { return running_.load(); }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] bool running() const noexcept {
+    return connections_.running();
+  }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return connections_.port();
+  }
   [[nodiscard]] const FrontConfig& config() const noexcept {
     return config_;
   }
@@ -169,10 +176,6 @@ class Front {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Job {
-    int fd = -1;
-  };
-
   /// One forwarding attempt with its trace bookkeeping: the per-process
   /// span reference stamped into the attempt's trace context (the value
   /// the upstream's serve_request span carries as parent_span) and the
@@ -185,21 +188,11 @@ class Front {
     Clock::time_point end;
   };
 
-  void acceptor_loop();
-  void worker_loop();
-  void handle_connection(const Job& job);
-  /// Subscribe interception, mirroring serve::Server: 0 = not a
-  /// subscribe, 1 = fd handed to the telemetry streamer, 2 = error
-  /// envelope already sent.
-  [[nodiscard]] int maybe_subscribe(int fd, const std::string& line);
-  [[nodiscard]] bool park_for_next_request(int fd);
-  void unpark(int fd);
   /// One request line -> one response line: serves dispatch_stats
   /// locally, forwards everything else, and bumps the final-outcome
   /// counters (exactly once per request).
-  [[nodiscard]] std::string respond_line(const std::string& line,
-                                         std::uint64_t conn,
-                                         std::uint64_t seq);
+  [[nodiscard]] std::string respond_line(
+      const std::string& line, const serve::RequestContext& context);
   [[nodiscard]] std::string dispatch_stats_line(const std::string& line);
   [[nodiscard]] ForwardResult forward_line_traced(
       const std::string& request_line, std::uint64_t conn,
@@ -214,7 +207,8 @@ class Front {
       const std::string& request_line,
       const std::vector<ForwardAttempt>& attempts) const;
   /// Records the dispatch_request root + per-attempt child spans as one
-  /// complete batch under latency_mutex_ (see serve::Server for why).
+  /// complete batch under latency_mutex_, the mutex telemetry
+  /// subscribers stream spans under.
   void record_request_trace(const std::string& method,
                             const serve::TraceContext& context,
                             const ForwardResult& result,
@@ -226,28 +220,8 @@ class Front {
   UpstreamPool pool_;
   Balancer balancer_;
   std::unique_ptr<HealthChecker> health_;
+  std::mutex start_stop_mutex_;  // serializes start/stop callers
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> accept_stop_{false};
-  std::mutex stop_mutex_;  // serializes start/stop callers
-  bool started_ = false;   // guarded by stop_mutex_
-
-  std::thread acceptor_;
-  std::vector<std::thread> workers_;
-
-  // mutex_ guards queue_, in_system_, stopping_, parked_fds_.
-  mutable std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::deque<Job> queue_;
-  std::size_t in_system_ = 0;
-  bool stopping_ = false;
-  std::vector<int> parked_fds_;
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> forwarded_ok_{0};
   std::atomic<std::uint64_t> forwarded_rejected_{0};
@@ -258,26 +232,26 @@ class Front {
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> retries_exhausted_{0};
   std::atomic<std::uint64_t> stats_served_{0};
-  std::atomic<std::size_t> max_in_system_{0};
 
   std::mutex rng_mutex_;  // guards jitter_rng_
   sim::Xoshiro256 jitter_rng_;
 
   // Tracing state: a per-process attempt-span reference counter (the
   // value propagated as trace.span_id and echoed back by upstream spans
-  // as parent_span), a client-connection serial, and the base mixed
-  // into originated trace ids so two fronts never collide.
+  // as parent_span) and the base mixed into originated trace ids so two
+  // fronts never collide.
   std::atomic<std::uint64_t> span_ref_{1};
-  std::atomic<std::uint64_t> conn_serial_{0};
   std::atomic<std::uint64_t> origin_serial_{0};
   std::uint64_t trace_origin_base_ = 0;
 
   // latency_mutex_ guards latency_by_outcome_, latency_by_upstream_,
-  // and obs; traced span batches land under one hold (see server.hpp).
+  // and obs; traced span batches land under one hold.
   mutable std::mutex latency_mutex_;
   std::vector<obs::Histogram> latency_by_outcome_;  // indexed by outcome
   std::vector<obs::Histogram> latency_by_upstream_; // indexed by upstream
-  std::unique_ptr<serve::TelemetryStreamer> telemetry_;
+
+  // Last member: destroyed first, so no worker outlives the state above.
+  serve::ConnectionServer connections_;
 };
 
 }  // namespace upa::dispatch

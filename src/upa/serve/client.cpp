@@ -13,27 +13,10 @@
 #include <utility>
 
 #include "upa/common/error.hpp"
+#include "upa/serve/connection_server.hpp"
 #include "upa/serve/protocol.hpp"
 
 namespace upa::serve {
-
-namespace {
-
-bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string call_outcome_name(CallOutcome outcome) {
   switch (outcome) {
@@ -172,29 +155,8 @@ void Client::shutdown_both() {
 }
 
 std::string Client::call_line(const std::string& request_line) {
-  UPA_REQUIRE(fd_ >= 0, "Client is not connected");
-  if (!send_all(fd_, request_line + "\n")) {
-    throw common::ModelError("send failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      throw common::ModelError(
-          n == 0 ? "connection closed before a response line"
-                 : "recv failed: " + std::string(std::strerror(errno)));
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  send_line(request_line);
+  return read_line();
 }
 
 CallResult Client::call(const std::string& method, Json params,

@@ -1,32 +1,19 @@
 #pragma once
-// `upa_served` core: a multi-threaded loopback/TCP evaluation service
-// whose own request handling IS the paper's M/M/i/K model. `workers`
-// threads (the paper's i operational servers) drain one bounded queue;
-// `capacity` (the paper's K) bounds the total number of admitted
-// connections in the system -- queued plus in service. Admission
-// control is explicit and non-blocking: when the system is full the
-// acceptor writes a one-line 503 envelope to the new connection and
-// closes it without ever reading the request, so the accept loop can
-// never stall behind a slow client or a full queue. The measured
-// rejection fraction under an open-loop Poisson load is therefore
-// directly comparable to `queueing::mmck_loss_probability` -- the
-// dogfood check run by `upa_loadgen` and pinned in tests/test_serve.cpp.
+// `upa_served` core: the evaluation service whose own request handling
+// IS the paper's M/M/i/K model. Accept, non-blocking admission (503 when
+// K connections are in the system), the i workers, keep-alive, the
+// `subscribe` handoff and the graceful drain all live in the shared
+// ConnectionServer (connection_server.hpp) -- the same one upa_dispatch
+// runs. The measured rejection fraction under an open-loop Poisson load
+// is therefore directly comparable to `queueing::mmck_loss_probability`
+// -- the dogfood check run by `upa_loadgen` and pinned in
+// tests/test_serve.cpp. This class is the request handler: deadlines,
+// the evaluator dispatch, the `stats` and `reconfigure` RPCs, latency
+// histograms, and span recording.
 //
 // Both knobs are runtime-elastic: reconfigure() (also exposed as the
-// `reconfigure` RPC, the actuator of the upa_ctl control loop) retargets
-// the worker pool and swaps the admission bound atomically. Grow spawns
-// threads at once; shrink retires excess workers only between requests,
-// so an in-flight request always completes.
-//
-// Lifecycle: start() binds, listens, and spawns the acceptor plus the
-// workers; stop() (idempotent, also run by the destructor) closes the
-// listen socket so no new connection is admitted, lets the workers
-// drain every admitted connection, and joins all threads. In-flight
-// requests always complete, but a kept-alive connection gets no
-// further requests once the drain begins, and both socket directions
-// carry `read_timeout_seconds`, so stop() always terminates even
-// against a client that keeps sending or stops reading. Post-stop
-// connects are refused by the OS.
+// `reconfigure` RPC, the actuator of the upa_ctl control loop) resizes
+// the connection server's worker pool and admission bound.
 //
 // Deadlines: a server-wide `deadline_seconds` budget (0 = off) applies
 // per request -- anchored at connection admission for a connection's
@@ -38,21 +25,16 @@
 // including when the result was computed but missed the budget.
 
 #include <atomic>
-#include <condition_variable>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "upa/obs/metrics.hpp"
 #include "upa/obs/observer.hpp"
+#include "upa/serve/connection_server.hpp"
 #include "upa/serve/protocol.hpp"
-#include "upa/serve/telemetry.hpp"
 
 namespace upa::serve {
 
@@ -112,18 +94,6 @@ struct ServerStats {
   std::uint64_t handled_requests = 0;
 };
 
-/// What one applied reconfigure() changed (returned to the caller and
-/// echoed by the `reconfigure` RPC).
-struct ReconfigureResult {
-  std::size_t workers = 0;
-  std::size_t capacity = 0;
-  std::size_t previous_workers = 0;
-  std::size_t previous_capacity = 0;
-  /// Workers above the new target that will retire as soon as they
-  /// finish their current request (drain-aware shrink: never mid-flight).
-  std::size_t retiring = 0;
-};
-
 class Server {
  public:
   /// Validates the config; the dispatcher gains a server-bound `stats`
@@ -143,10 +113,14 @@ class Server {
   /// watcher thread. Returns once every worker has exited.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept { return running_.load(); }
+  [[nodiscard]] bool running() const noexcept {
+    return connections_.running();
+  }
 
   /// The bound TCP port (resolved after start() for port 0 configs).
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return connections_.port();
+  }
 
   [[nodiscard]] const ServerConfig& config() const noexcept {
     return config_;
@@ -175,11 +149,6 @@ class Server {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Job {
-    int fd = -1;
-    Clock::time_point admitted;
-  };
-
   /// Everything observe_request() needs about one finished request.
   /// Phase stamps are offsets from the request anchor, in seconds.
   struct RequestObservation {
@@ -202,84 +171,20 @@ class Server {
     std::uint64_t seq = 0;        ///< request index on the connection
   };
 
-  void acceptor_loop();
-  void worker_loop();
-  void handle_connection(const Job& job);
-  /// Intercepts a `subscribe` request line before normal dispatch.
-  /// Returns 0 when the line is not a subscribe (caller proceeds),
-  /// 1 when the fd was handed to the telemetry streamer (caller must
-  /// return without closing it), 2 when an error envelope was already
-  /// sent (caller continues the connection loop).
-  [[nodiscard]] int maybe_subscribe(int fd, const std::string& line);
-  /// Registers a kept-alive connection about to block in recv for its
-  /// next request; stop() shutdown(SHUT_RD)s every parked fd so the
-  /// drain ends immediately instead of waiting out the read timeout.
-  /// Returns false (without parking) once the drain has begun, which is
-  /// also what keeps an endlessly-requesting client from holding the
-  /// drain open: the request in flight finishes, no further ones start.
-  [[nodiscard]] bool park_for_next_request(int fd);
-  void unpark(int fd);
   /// One request line -> one response line (counters + deadline checks).
-  /// `anchor` starts the deadline budget and the latency/queue-wait
-  /// clocks: admission time for a connection's first request, the line
-  /// read time for every later request on the same connection.
+  /// The request anchor starts the deadline budget and the latency/
+  /// queue-wait clocks: admission time for a connection's first request,
+  /// the line read time for every later request on the same connection.
   [[nodiscard]] std::string respond_line(const std::string& line,
-                                         Clock::time_point anchor,
-                                         Clock::time_point line_read,
-                                         bool first_request,
-                                         std::uint64_t conn,
-                                         std::uint64_t seq);
+                                         const RequestContext& context);
   void observe_request(const RequestObservation& observation);
 
   ServerConfig config_;
   Dispatcher dispatcher_;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> accept_stop_{false};
-  std::mutex stop_mutex_;  // serializes start/stop callers
-  bool started_ = false;   // guarded by stop_mutex_
-
-  std::thread acceptor_;
-  // workers_mutex_ guards the workers_ thread handles and serializes
-  // reconfigure() callers. Never held while joining a RUNNING worker
-  // (a worker executing the reconfigure RPC needs it) -- stop() moves
-  // handles out before joining, and reap_exited_workers() only joins
-  // threads that already left worker_loop().
-  std::mutex workers_mutex_;
-  std::vector<std::thread> workers_;
-
-  /// Joins and erases worker threads that retired from a previous
-  /// shrink (their ids are in exited_worker_ids_). Caller holds
-  /// workers_mutex_.
-  void reap_exited_workers();
-
-  // mutex_ guards queue_, in_system_, stopping_, parked_fds_, the
-  // dynamic pool/admission state (workers_target_, capacity_limit_,
-  // active_workers_, reject_line_), and exited_worker_ids_.
-  mutable std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::deque<Job> queue_;
-  std::size_t in_system_ = 0;
-  bool stopping_ = false;
-  std::vector<int> parked_fds_;  // connections idle between requests
-  std::size_t workers_target_ = 0;   ///< the model's i, reconfigurable
-  std::size_t capacity_limit_ = 0;   ///< the model's K, reconfigurable
-  std::size_t active_workers_ = 0;   ///< live worker loops (incl. retiring)
-  std::string reject_line_;  ///< 503 envelope, rebuilt when K changes
-  std::vector<std::thread::id> exited_worker_ids_;  ///< retired, joinable
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> deadline_missed_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::size_t> max_in_system_{0};
-  std::atomic<std::uint64_t> reconfigures_{0};
-
-  std::atomic<std::uint64_t> conn_serial_{0};
 
   // latency_mutex_ guards latency_, latency_by_method_, busy_seconds_,
   // handled_requests_, and config_.obs.
@@ -292,8 +197,9 @@ class Server {
   std::map<std::string, obs::Histogram> latency_by_method_;
   double busy_seconds_ = 0.0;          ///< handler wall time, summed
   std::uint64_t handled_requests_ = 0;  ///< requests that ran a handler
-  std::unique_ptr<TelemetryStreamer> telemetry_;
-  Clock::time_point started_at_;
+
+  // Last member: destroyed first, so no worker outlives the state above.
+  ConnectionServer connections_;
 };
 
 }  // namespace upa::serve

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "upa/common/error.hpp"
+#include "upa/serve/connection_server.hpp"
 #include "upa/serve/json.hpp"
 
 namespace upa::serve {
@@ -21,17 +22,6 @@ void set_send_timeout(int fd, double seconds) {
   tv.tv_usec = static_cast<suseconds_t>(
       (seconds - std::floor(seconds)) * 1e6);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-bool send_payload(int fd, const std::string& payload) {
-  std::size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t n = ::send(fd, payload.data() + sent,
-                             payload.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 Json span_attrs_json(const obs::Span& span) {
@@ -89,12 +79,12 @@ void TelemetryStreamer::run_subscriber(Subscriber* subscriber,
                                        std::string ack_line) {
   std::size_t span_cursor = 0;
   std::uint64_t seq = 0;
-  bool ok = send_payload(subscriber->fd, ack_line + "\n");
+  bool ok = send_all(subscriber->fd, ack_line + "\n");
   std::unique_lock<std::mutex> lock(mutex_);
   while (ok && !stopping_) {
     lock.unlock();
     const std::string payload = build_tick(seq++, span_cursor);
-    ok = send_payload(subscriber->fd, payload);
+    ok = send_all(subscriber->fd, payload);
     lock.lock();
     if (!ok || stopping_) break;
     cv_.wait_for(

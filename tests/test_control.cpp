@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "poll_until.hpp"
 #include "upa/common/error.hpp"
 #include "upa/control/estimator.hpp"
 #include "upa/control/policy.hpp"
@@ -41,6 +42,7 @@ using upa::serve::ErrorCode;
 using upa::serve::Json;
 using upa::serve::Server;
 using upa::serve::ServerConfig;
+using upa::testing::poll_until;
 
 // --- Estimator -----------------------------------------------------------
 
@@ -299,13 +301,12 @@ ServerConfig loopback_config(std::size_t workers, std::size_t capacity) {
 /// drains asynchronously) or the deadline passes.
 void wait_for_workers(Server& server, std::size_t workers,
                       double timeout_seconds = 5.0) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto stats = server.stats();
-    if (stats.workers == workers && stats.retiring == 0) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  (void)poll_until(
+      [&] {
+        const auto stats = server.stats();
+        return stats.workers == workers && stats.retiring == 0;
+      },
+      std::chrono::duration<double>(timeout_seconds));
   const auto stats = server.stats();
   EXPECT_EQ(stats.workers, workers);
   EXPECT_EQ(stats.retiring, 0u);
@@ -329,7 +330,7 @@ TEST(Reconfigure, ShrinkBelowInflightDrainsWithoutKillingRequests) {
       if (r.ok()) ++completed;
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_TRUE(poll_until([&] { return server.stats().in_system == 4; }));
 
   // Shrink to one worker while all four are mid-request: the result
   // reports the retire debt, and NO in-flight request may be killed --
@@ -372,7 +373,7 @@ TEST(Reconfigure, GrowUnderFullQueueAddsServiceImmediately) {
       if (r.ok()) ++completed;
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_TRUE(poll_until([&] { return server.stats().in_system == 3; }));
 
   const auto result = server.reconfigure(4, 8);
   EXPECT_EQ(result.workers, 4u);
@@ -408,7 +409,7 @@ TEST(Reconfigure, CapacityBelowOccupancyGatesAdmissionOnly) {
       if (r.ok()) ++completed;
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_TRUE(poll_until([&] { return server.stats().in_system == 4; }));
 
   const auto result = server.reconfigure(0, 2);
   EXPECT_EQ(result.workers, 2u);  // 0 = keep

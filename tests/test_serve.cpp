@@ -14,16 +14,21 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "poll_until.hpp"
 #include "upa/cache/eval_cache.hpp"
 #include "upa/common/error.hpp"
+#include "upa/dispatch/front.hpp"
 #include "upa/obs/observer.hpp"
 #include "upa/queueing/mmck.hpp"
 #include "upa/serve/anti_entropy.hpp"
 #include "upa/serve/client.hpp"
+#include "upa/serve/connection_server.hpp"
 #include "upa/serve/loadgen.hpp"
 #include "upa/serve/protocol.hpp"
 #include "upa/serve/server.hpp"
@@ -40,6 +45,7 @@ using upa::serve::Json;
 using upa::serve::parse_json;
 using upa::serve::Server;
 using upa::serve::ServerConfig;
+using upa::testing::poll_until;
 
 // --- Dispatcher (transport-free) -----------------------------------------
 
@@ -468,11 +474,48 @@ TEST(ServeServer, KeepAliveConnectionServesManyRequests) {
   EXPECT_EQ(server.stats().accepted, 1u);  // one admission, many requests
 }
 
-TEST(ServeServer, AdmissionControlRejectsWhenFull) {
+// --- Both daemons: the shared connection server -------------------------
+// serve::Server and dispatch::Front run one ConnectionServer, so its
+// admission and drain contracts are pinned once and run through each
+// daemon. A setup owns a daemon with i workers and room for K client
+// connections; the Front forwards to a roomy upstream Server.
+
+struct ServedDaemon {
+  ServedDaemon(std::size_t workers, std::size_t capacity)
+      : daemon(loopback_config(workers, capacity)) {}
+  Server daemon;
+};
+
+upa::dispatch::FrontConfig fronting(Server& upstream, std::size_t workers,
+                                    std::size_t max_clients) {
+  upstream.start();
+  upa::dispatch::FrontConfig config;
+  config.upstreams = {{"127.0.0.1", upstream.port()}};
+  config.workers = workers;
+  config.max_clients = max_clients;
+  config.health.probe_interval_seconds = 30.0;  // the start sweep only
+  return config;
+}
+
+struct FrontedDaemon {
+  FrontedDaemon(std::size_t workers, std::size_t capacity)
+      : upstream(loopback_config(2, 8)),
+        daemon(fronting(upstream, workers, capacity)) {}
+  Server upstream;
+  upa::dispatch::Front daemon;
+};
+
+template <typename Setup>
+class ServeDaemon : public ::testing::Test {};
+using Daemons = ::testing::Types<ServedDaemon, FrontedDaemon>;
+TYPED_TEST_SUITE(ServeDaemon, Daemons);
+
+TYPED_TEST(ServeDaemon, AdmissionControlRejectsWhenFull) {
   // i = 1, K = 1: with one connection holding the single slot, the next
   // connection must receive the pre-built 503 line without the acceptor
   // ever reading its request.
-  Server server(loopback_config(1, 1));
+  TypeParam held(1, 1);
+  auto& server = held.daemon;
   server.start();
 
   std::atomic<bool> holder_done{false};
@@ -487,7 +530,7 @@ TEST(ServeServer, AdmissionControlRejectsWhenFull) {
   });
 
   // Let the holder get admitted and into service.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_TRUE(poll_until([&] { return server.stats().in_system == 1; }));
   ASSERT_FALSE(holder_done.load());
 
   Client rejected;
@@ -505,12 +548,12 @@ TEST(ServeServer, AdmissionControlRejectsWhenFull) {
 
   // After the rejection, an admitted connection still works: the 503
   // path never wedges the acceptor.
-  Server fresh(loopback_config(1, 1));
-  fresh.start();
+  TypeParam fresh(1, 1);
+  fresh.daemon.start();
   Client ok;
-  ok.connect("127.0.0.1", fresh.port());
+  ok.connect("127.0.0.1", fresh.daemon.port());
   EXPECT_TRUE(ok.call("ping", Json()).ok());
-  fresh.stop();
+  fresh.daemon.stop();
 }
 
 TEST(ServeServer, ServerDeadlineReturns504) {
@@ -581,8 +624,10 @@ TEST(ServeServer, GracefulShutdownDrainsAdmittedConnections) {
     });
   }
 
-  // Give all four time to be admitted, then stop while they sleep.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // Wait for all four to be admitted, then stop while they sleep.
+  EXPECT_TRUE(poll_until([&] {
+    return server.stats().accepted == static_cast<std::uint64_t>(kClients);
+  }));
   server.stop();
 
   for (std::thread& t : clients) t.join();
@@ -598,12 +643,13 @@ TEST(ServeServer, GracefulShutdownDrainsAdmittedConnections) {
                upa::common::ModelError);
 }
 
-TEST(ServeServer, DrainTerminatesAgainstBusyKeepAliveClient) {
+TYPED_TEST(ServeDaemon, DrainTerminatesAgainstBusyKeepAliveClient) {
   // A kept-alive client that never stops issuing requests must not hold
   // stop() open: once the drain begins, the request in flight is served
   // and the connection is then closed. The test's real assertion is
   // that server.stop() returns at all.
-  Server server(loopback_config(1, 2));
+  TypeParam held(1, 2);
+  auto& server = held.daemon;
   server.start();
 
   std::atomic<bool> client_done{false};
@@ -616,12 +662,80 @@ TEST(ServeServer, DrainTerminatesAgainstBusyKeepAliveClient) {
     client_done.store(true);
   });
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(poll_until([&] { return server.stats().requests >= 1; }));
   server.stop();
   client.join();
   EXPECT_TRUE(client_done.load());
   EXPECT_EQ(server.stats().in_system, 0u);
   EXPECT_GE(server.stats().requests, 1u);
+}
+
+TEST(ServeServer, DrainIsPromptAfterBlankLine) {
+  // A blank line is a line read: it ends the connection's unparked first
+  // read, so the next read is parked and stop() wakes it at once instead
+  // of waiting out the 3 s read timeout.
+  ServerConfig config = loopback_config(1, 2);
+  config.read_timeout_seconds = 3.0;
+  Server server(std::move(config));
+  server.start();
+
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  client.send_line("");
+  ASSERT_TRUE(poll_until([&] { return server.stats().accepted == 1; }));
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.stop();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
+          .count();
+  EXPECT_LT(elapsed, 1.0) << "drain waited out the read timeout";
+}
+
+TEST(ServeConnectionServer, FakeHandlerSeesEachLineWithItsContext) {
+  std::mutex mutex;
+  std::vector<std::pair<std::string, upa::serve::RequestContext>> seen;
+  upa::serve::ConnectionServerConfig config;
+  config.capacity = 2;  // the second client may connect before the first
+                        // one's close is seen
+  config.reject_message = [](std::size_t capacity) {
+    return "full at " + std::to_string(capacity);
+  };
+  upa::serve::ConnectionServer server(
+      std::move(config),
+      [&](const std::string& line, const upa::serve::RequestContext& c) {
+        std::lock_guard<std::mutex> lock(mutex);
+        seen.emplace_back(line, c);
+        return "echo " + line;
+      });
+  server.start();
+
+  Client first;
+  first.connect("127.0.0.1", server.port());
+  EXPECT_EQ(first.call_line("a"), "echo a");
+  EXPECT_EQ(first.call_line("b"), "echo b");
+  first.close();
+  Client second;
+  second.connect("127.0.0.1", server.port());
+  second.send_line("");  // a blank line is read but never answered
+  EXPECT_EQ(second.call_line("c"), "echo c");
+  second.close();
+  server.stop();
+
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].first, "a");
+  EXPECT_TRUE(seen[0].second.first_request);
+  EXPECT_EQ(seen[0].second.conn, 1u);
+  EXPECT_EQ(seen[0].second.seq, 0u);
+  EXPECT_LE(seen[0].second.admitted, seen[0].second.line_read);
+  EXPECT_FALSE(seen[1].second.first_request);
+  EXPECT_EQ(seen[1].second.seq, 1u);
+  EXPECT_EQ(seen[2].first, "c");
+  EXPECT_FALSE(seen[2].second.first_request);  // the blank line was first
+  EXPECT_EQ(seen[2].second.conn, 2u);
+  EXPECT_EQ(seen[2].second.seq, 0u);
+  EXPECT_EQ(server.stats().accepted, 2u);
+  EXPECT_EQ(server.stats().completed, 2u);
 }
 
 TEST(ServeServer, KeepAliveRequestsGetFreshDeadlineBudgets) {
