@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -54,6 +55,25 @@ std::string read_lock_holder(const std::string& path) {
     holder.pop_back();
   }
   return holder;
+}
+
+/// Seeds one decoded record into `cache`; returns false on an unknown
+/// type tag or decode failure.
+bool seed_record(EvalCache& cache, const SegmentRecord& record,
+                 bool* inserted) {
+  const ValueCodec* codec = codec_for_tag(record.type_tag);
+  if (codec == nullptr) return false;
+  CacheKey key;
+  key.bytes = record.key_bytes;
+  key.digest = key_digest(key.bytes);
+  try {
+    key.solver_id = solver_id_from_key_bytes(key.bytes);
+    StoredValue value = codec->deserialize(record.value_bytes);
+    *inserted = cache.seed(key, std::move(value));
+  } catch (const common::ModelError&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -119,12 +139,8 @@ PersistentCache::PersistentCache(EvalCache& cache, std::string directory,
   UPA_REQUIRE(!ec, "cannot create cache directory '" + directory_ +
                        "': " + ec.message());
   lock_ = DirectoryLock(directory_);
-  if (config_.attach == PersistConfig::Attach::kEager) {
-    load_directory_eager();
-  } else {
-    load_directory_lazy();
-    cache_.set_source(this);
-  }
+  load_directory();
+  cache_.set_source(this);
   cache_.set_sink(this);
 }
 
@@ -134,27 +150,7 @@ PersistentCache::~PersistentCache() {
   cache_.set_source(nullptr);
 }
 
-void PersistentCache::load_directory_eager() {
-  const std::vector<std::string> paths = list_segments(directory_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::string& path : paths) {
-    SegmentLoadStats file_stats;
-    load_segment_file(path, file_stats, [&](SegmentRecord&& record) {
-      bool inserted = false;
-      if (seed_record(record, &inserted)) {
-        ++stats_.records_replayed;
-        persisted_digests_.insert(key_digest(record.key_bytes));
-      } else {
-        ++stats_.records_skipped_decode;
-      }
-    });
-    stats_.segments_loaded += file_stats.segments_loaded;
-    stats_.segments_rejected += file_stats.segments_rejected;
-    stats_.records_skipped_crc += file_stats.records_skipped_crc;
-  }
-}
-
-void PersistentCache::load_directory_lazy() {
+void PersistentCache::load_directory() {
   const std::vector<std::string> paths = list_segments(directory_);
   std::lock_guard<std::mutex> lock(mutex_);
   for (const std::string& path : paths) attach_segment(path);
@@ -182,7 +178,7 @@ void PersistentCache::attach_segment(const std::string& path) {
   // already sorted by digest, so append dedupe binary-searches them in
   // place (digest_on_disk). Building a 10^5..10^6-element hash set here
   // would cost more than the whole index load -- the attach speedup the
-  // lazy path exists for.
+  // index exists for.
   segments_.push_back(std::move(segment));
 }
 
@@ -226,23 +222,6 @@ bool PersistentCache::lookup(const CacheKey& key, StoredValue* out) {
   return false;
 }
 
-bool PersistentCache::seed_record(const SegmentRecord& record,
-                                  bool* inserted) {
-  const ValueCodec* codec = codec_for_tag(record.type_tag);
-  if (codec == nullptr) return false;
-  CacheKey key;
-  key.bytes = record.key_bytes;
-  key.digest = key_digest(key.bytes);
-  try {
-    key.solver_id = solver_id_from_key_bytes(key.bytes);
-    StoredValue value = codec->deserialize(record.value_bytes);
-    *inserted = cache_.seed(key, std::move(value));
-  } catch (const common::ModelError&) {
-    return false;
-  }
-  return true;
-}
-
 void PersistentCache::append_record(const std::string& type_tag,
                                     const std::string& key_bytes,
                                     const std::string& value_bytes) {
@@ -278,7 +257,7 @@ void PersistentCache::on_insert(const CacheKey& key,
   // Already on disk (or a digest collision: skip, recompute later -- a
   // collision can lose an append, never a value). Sealed segments are
   // consulted via their sorted indexes; the hash set only tracks keys
-  // THIS process appended or eager-seeded.
+  // THIS process appended or imported.
   if (digest_on_disk(key.digest)) return;
   if (!persisted_digests_.insert(key.digest).second) return;
   append_record(std::string(codec->type_tag), key.bytes,
@@ -293,7 +272,7 @@ ImportStats PersistentCache::import_blob(std::string_view segment_bytes) {
       load_segment_bytes(segment_bytes, blob_stats,
                          [&](SegmentRecord&& record) {
                            bool inserted = false;
-                           if (!seed_record(record, &inserted)) {
+                           if (!seed_record(cache_, record, &inserted)) {
                              ++import.records_skipped;
                              ++stats_.records_skipped_decode;
                              return;
@@ -339,7 +318,7 @@ CompactionStats PersistentCache::compact_now(std::size_t min_segments) {
   }
 
   // Merge outside the lock: the inputs are sealed files (this process
-  // appends only to active_, which is excluded), and concurrent lazy
+  // appends only to active_, which is excluded), and concurrent
   // lookups keep reading the OLD mappings -- a deleted-but-mapped file
   // stays readable -- until the swap below.
   CompactionStats merged =
@@ -349,33 +328,31 @@ CompactionStats PersistentCache::compact_now(std::size_t min_segments) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.compactions;
   stats_.compact_records_dropped += merged.records_dropped();
-  if (config_.attach == PersistConfig::Attach::kLazy) {
-    std::uint64_t detached_indexed = 0;
-    std::uint64_t detached_mapped = 0;
-    segments_.erase(
-        std::remove_if(segments_.begin(), segments_.end(),
-                       [&](const AttachedSegment& segment) {
-                         if (std::find(paths.begin(), paths.end(),
-                                       segment.path) == paths.end()) {
-                           return false;
-                         }
-                         detached_indexed += segment.entries.size();
-                         if (segment.file.mapped()) {
-                           detached_mapped += segment.file.size();
-                         }
-                         return true;
-                       }),
-        segments_.end());
-    stats_.records_indexed -= detached_indexed;
-    stats_.bytes_mapped -= detached_mapped;
-    attach_segment(merged.output_path);
-    // Replay priority: "compact-*" sorts before "segment-*", so keep
-    // the attach list in name order exactly like a fresh load would.
-    std::sort(segments_.begin(), segments_.end(),
-              [](const AttachedSegment& a, const AttachedSegment& b) {
-                return a.path < b.path;
-              });
-  }
+  std::uint64_t detached_indexed = 0;
+  std::uint64_t detached_mapped = 0;
+  segments_.erase(
+      std::remove_if(segments_.begin(), segments_.end(),
+                     [&](const AttachedSegment& segment) {
+                       if (std::find(paths.begin(), paths.end(),
+                                     segment.path) == paths.end()) {
+                         return false;
+                       }
+                       detached_indexed += segment.entries.size();
+                       if (segment.file.mapped()) {
+                         detached_mapped += segment.file.size();
+                       }
+                       return true;
+                     }),
+      segments_.end());
+  stats_.records_indexed -= detached_indexed;
+  stats_.bytes_mapped -= detached_mapped;
+  attach_segment(merged.output_path);
+  // Replay priority: "compact-*" sorts before "segment-*", so keep
+  // the attach list in name order exactly like a fresh load would.
+  std::sort(segments_.begin(), segments_.end(),
+            [](const AttachedSegment& a, const AttachedSegment& b) {
+              return a.path < b.path;
+            });
   return merged;
 }
 
@@ -419,7 +396,12 @@ PersistStats PersistentCache::stats() const {
 }
 
 std::string export_segment_blob(EvalCache& cache, ExportStats* stats) {
-  return export_delta_blob(cache, {}, stats);
+  DeltaPage page = export_delta_page(
+      cache, {}, 0, std::numeric_limits<std::size_t>::max());
+  if (stats != nullptr) {
+    *stats = ExportStats{page.records, page.skipped_no_codec};
+  }
+  return std::move(page.blob);
 }
 
 ImportStats import_segment_blob(EvalCache& cache,
@@ -428,24 +410,13 @@ ImportStats import_segment_blob(EvalCache& cache,
   SegmentLoadStats blob_stats;
   const bool accepted = load_segment_bytes(
       segment_bytes, blob_stats, [&](SegmentRecord&& record) {
-        const ValueCodec* codec = codec_for_tag(record.type_tag);
-        if (codec == nullptr) {
+        bool inserted = false;
+        if (!seed_record(cache, record, &inserted)) {
           ++import.records_skipped;
-          return;
-        }
-        CacheKey key;
-        key.bytes = std::move(record.key_bytes);
-        key.digest = key_digest(key.bytes);
-        try {
-          key.solver_id = solver_id_from_key_bytes(key.bytes);
-          StoredValue value = codec->deserialize(record.value_bytes);
-          if (cache.seed(key, std::move(value))) {
-            ++import.records_seeded;
-          } else {
-            ++import.records_duplicate;
-          }
-        } catch (const common::ModelError&) {
-          ++import.records_skipped;
+        } else if (inserted) {
+          ++import.records_seeded;
+        } else {
+          ++import.records_duplicate;
         }
       });
   import.segment_rejected = !accepted;
@@ -479,31 +450,6 @@ std::vector<std::uint64_t> decode_digests(std::string_view bytes) {
   while (r.remaining() > 0) digests.push_back(r.get_u64());
   std::sort(digests.begin(), digests.end());
   return digests;
-}
-
-std::string export_delta_blob(EvalCache& cache,
-                              const std::vector<std::uint64_t>& have,
-                              ExportStats* stats) {
-  ExportStats local;
-  std::string blob = segment_header();
-  for (const EvalCache::SnapshotEntry& entry : cache.snapshot()) {
-    if (!have.empty() &&
-        std::binary_search(have.begin(), have.end(),
-                           key_digest(entry.key_bytes))) {
-      continue;  // the caller already holds this key (by digest)
-    }
-    const ValueCodec* codec = codec_for_type(*entry.value.type);
-    if (codec == nullptr) {
-      ++local.skipped_no_codec;
-      continue;
-    }
-    blob += encode_record(SegmentRecord{
-        std::string(codec->type_tag), entry.key_bytes,
-        codec->serialize(entry.value.value.get())});
-    ++local.records;
-  }
-  if (stats != nullptr) *stats = local;
-  return blob;
 }
 
 namespace {

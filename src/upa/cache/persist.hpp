@@ -1,28 +1,21 @@
 #pragma once
 // PersistentCache: the disk-backed second tier of EvalCache.
 //
-// Two attach modes:
+// Attach: construction opens every *.upaseg via mmap and loads (or
+// rebuilds) its *.upaidx sidecar -- a sorted key-digest -> record-offset
+// table -- so attach cost is O(index bytes), not O(decode every value).
+// The instance installs itself as the cache's CacheSource: a miss
+// binary-searches the indexes, CRC-checks the one record it points at,
+// compares FULL key bytes (a digest collision can never replay a wrong
+// value), decodes it, and serves it as a disk hit. Millions of records
+// cost attach-time microseconds each only when actually touched.
 //
-//  - kLazy (default): construction opens every *.upaseg via mmap and
-//    loads (or rebuilds) its *.upaidx sidecar -- a sorted key-digest ->
-//    record-offset table -- so attach cost is O(index bytes), not
-//    O(decode every value). The instance installs itself as the cache's
-//    CacheSource: a miss binary-searches the indexes, CRC-checks the
-//    one record it points at, compares FULL key bytes (a digest
-//    collision can never replay a wrong value), decodes it, and serves
-//    it as a disk hit. Millions of records cost attach-time microseconds
-//    each only when actually touched.
-//
-//  - kEager: the PR-8 behavior -- decode and seed everything at
-//    construction. Kept for workloads that replay the entire directory
-//    anyway (and as the bench baseline the lazy path is gated against).
-//
-// Both modes install the instance as the cache's insert sink, so every
-// freshly computed value is write-behind-appended to a per-process
-// active segment; a key already persisted is never appended twice, so
-// re-running a workload leaves the directory the same size. (Lazy mode
-// dedupes by key digest instead of full key bytes -- a collision merely
-// skips one append, never corrupts a value.)
+// The instance is also the cache's insert sink, so every freshly
+// computed value is write-behind-appended to a per-process active
+// segment; a key already persisted is never appended twice, so
+// re-running a workload leaves the directory the same size. (Dedupe is
+// by key digest, not full key bytes -- a collision merely skips one
+// append, never corrupts a value.)
 //
 // Maintenance: start_maintenance() runs background compaction -- when
 // the directory holds enough sealed segments they are merged
@@ -30,15 +23,13 @@
 // (see compact.hpp); the process's own active segment is never touched.
 // upa_cachectl drives the same pass offline.
 //
-// Free functions export_segment_blob / import_segment_blob carry
-// segment bytes over the wire (`cache export` / `cache import`), and
-// digest_summary / export_delta_blob implement the anti-entropy
-// exchange: a replica ships the digests it HAS, a peer answers with a
-// delta blob of only the records the caller is missing.
-// digest_fingerprint collapses the summary to an O(1)-to-compare
-// (count, fold) pair so converged replicas skip the exchange entirely,
-// and export_delta_page cuts a large delta into bounded pages that fit
-// the wire protocol's line cap.
+// Replication: the free functions below implement the one anti-entropy
+// exchange replicas use to move warm sets (serve/anti_entropy.hpp).
+// digest_fingerprint collapses a cache's key digests to an
+// O(1)-to-compare (count, fold) pair so converged replicas skip the
+// exchange; digest_summary is the sorted digest list a puller sends;
+// export_delta_page answers it with a bounded page of only the records
+// the puller is missing; import_blob / import_segment_blob apply a page.
 //
 // Writer exclusivity: construction takes an flock(2) DirectoryLock on
 // the directory (`.upalock`), so a second writer -- another process OR
@@ -94,8 +85,6 @@ class DirectoryLock {
 };
 
 struct PersistConfig {
-  enum class Attach { kLazy, kEager };
-  Attach attach = Attach::kLazy;
   /// Online maintenance compacts once the directory holds at least this
   /// many sealed (non-active) segments.
   std::size_t compact_min_segments = 4;
@@ -108,8 +97,8 @@ struct PersistStats {
   std::size_t indexes_rebuilt = 0;    ///< missing/stale/corrupt -> rescan
   std::uint64_t records_indexed = 0;  ///< offsets addressable on disk
   std::uint64_t bytes_mapped = 0;     ///< segment bytes behind mmap views
-  std::uint64_t records_replayed = 0;  ///< decoded into memory (eager seed
-                                       ///< or lazy disk-hit serve)
+  std::uint64_t records_replayed = 0;  ///< decoded into memory (disk-hit
+                                       ///< serve or imported blob)
   std::uint64_t disk_hits = 0;  ///< lazy lookups served from a segment
   std::uint64_t records_skipped_crc = 0;
   std::uint64_t records_skipped_decode = 0;  ///< unknown tag / bad payload
@@ -129,8 +118,8 @@ struct ImportStats {
 
 class PersistentCache final : public CacheSink, public CacheSource {
  public:
-  /// Creates `directory` when missing, attaches per `config.attach`,
-  /// and installs itself as the cache's sink (and source, when lazy).
+  /// Creates `directory` when missing, attaches its segments, and
+  /// installs itself as the cache's sink and source.
   /// Throws ModelError when the directory cannot be created or listed.
   PersistentCache(EvalCache& cache, std::string directory,
                   PersistConfig config = {});
@@ -138,12 +127,12 @@ class PersistentCache final : public CacheSink, public CacheSource {
 
   void on_insert(const CacheKey& key, const StoredValue& value) override;
 
-  /// CacheSource: serves a lazy lookup from the mapped segments.
+  /// CacheSource: serves a lookup from the mapped segments.
   bool lookup(const CacheKey& key, StoredValue* out) override;
 
-  /// Decodes a segment blob (the `cache import` RPC payload), seeds the
+  /// Decodes a segment blob (one anti-entropy pull page), seeds the
   /// cache, and appends previously unseen records to the active segment
-  /// so the imported warmth survives the NEXT restart too.
+  /// so the pulled warmth survives the NEXT restart too.
   ImportStats import_blob(std::string_view segment_bytes);
 
   /// Merges this directory's sealed segments (everything but the
@@ -171,8 +160,7 @@ class PersistentCache final : public CacheSink, public CacheSource {
     std::vector<IndexEntry> entries;
   };
 
-  void load_directory_eager();
-  void load_directory_lazy();
+  void load_directory();
   /// Opens + indexes one segment, appends it to segments_, and folds
   /// its digests into persisted_digests_. Caller holds mutex_.
   void attach_segment(const std::string& path);
@@ -181,8 +169,6 @@ class PersistentCache final : public CacheSink, public CacheSource {
   /// digest hash set at attach time (which would dwarf the index load
   /// at 10^5+ records). Caller holds mutex_.
   [[nodiscard]] bool digest_on_disk(std::uint64_t digest) const;
-  /// Seeds one decoded record; returns false on decode failure.
-  bool seed_record(const SegmentRecord& record, bool* inserted);
   void append_record(const std::string& type_tag,
                      const std::string& key_bytes,
                      const std::string& value_bytes);
@@ -194,8 +180,8 @@ class PersistentCache final : public CacheSink, public CacheSource {
 
   mutable std::mutex mutex_;
   std::unique_ptr<SegmentFile> active_;  // created lazily on first append
-  std::vector<AttachedSegment> segments_;  // lazy mode, replay order
-  /// Digests THIS process appended or eager-seeded; sealed segments
+  std::vector<AttachedSegment> segments_;  // replay order
+  /// Digests THIS process appended or imported; sealed segments
   /// are consulted through their sorted indexes (digest_on_disk).
   std::unordered_set<std::uint64_t> persisted_digests_;
   PersistStats stats_;
@@ -207,7 +193,7 @@ class PersistentCache final : public CacheSink, public CacheSource {
 };
 
 /// Serializes every completed in-memory entry that has a registered
-/// codec into one segment blob (the `cache export` RPC payload).
+/// codec into one segment blob: an unbounded export_delta_page.
 struct ExportStats {
   std::uint64_t records = 0;
   std::uint64_t skipped_no_codec = 0;
@@ -216,12 +202,12 @@ struct ExportStats {
                                               ExportStats* stats = nullptr);
 
 /// Seeds `cache` from a segment blob without touching any disk tier
-/// (the import path of a replica running without --cache-dir).
+/// (how a replica running without --cache-dir applies a pull page).
 ImportStats import_segment_blob(EvalCache& cache,
                                 std::string_view segment_bytes);
 
 /// Sorted, deduplicated key digests of every completed in-memory entry
-/// -- the compact summary `cache digest` ships between replicas.
+/// -- the summary a puller sends as `cache pull`'s have_hex.
 [[nodiscard]] std::vector<std::uint64_t> digest_summary(EvalCache& cache);
 
 /// Packs digests as little-endian u64s (hex-encode for the wire).
@@ -231,12 +217,6 @@ ImportStats import_segment_blob(EvalCache& cache,
 /// of 8. The result is sorted.
 [[nodiscard]] std::vector<std::uint64_t> decode_digests(
     std::string_view bytes);
-
-/// Like export_segment_blob, but skips every entry whose key digest is
-/// in `have` (must be sorted) -- the delta a `cache pull` answers with.
-[[nodiscard]] std::string export_delta_blob(
-    EvalCache& cache, const std::vector<std::uint64_t>& have,
-    ExportStats* stats = nullptr);
 
 /// O(1)-to-compare convergence check: the number of distinct key
 /// digests plus a commutative splitmix64 fold over them. Equal
@@ -256,7 +236,8 @@ struct DigestFingerprint {
 /// next record would push the blob past `max_bytes` (a page always
 /// carries at least one record, so progress never stalls on one large
 /// value). `complete` means the delta is exhausted; otherwise resume
-/// with `next_cursor`. Lets `cache pull` answers stay under the wire
+/// with `next_cursor`. Entries whose key digest is in `have` (must be
+/// sorted) are skipped. Lets `cache pull` answers stay under the wire
 /// protocol's line cap no matter how large the delta is.
 struct DeltaPage {
   std::string blob;            ///< segment header + the page's records

@@ -35,7 +35,10 @@ double kahan_sum(std::span<const double> values) noexcept {
 }
 
 double log_factorial(unsigned n) noexcept {
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: the latter writes glibc's global
+  // `signgam`, a data race when solvers run on several threads.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double factorial(unsigned n) {

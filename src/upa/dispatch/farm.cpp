@@ -282,78 +282,15 @@ std::uint64_t issue_warm_points(const UpstreamAddress& address,
   return ok;
 }
 
-/// `cache export` on `from`, `cache import` on `to`; returns (records
-/// exported, records seeded). Throws ModelError on any failure.
-std::pair<std::uint64_t, std::uint64_t> transfer_cache_once(
-    const UpstreamAddress& from, const UpstreamAddress& to,
-    double timeout) {
-  serve::Client peer;
-  peer.connect(from.host, from.port, timeout, timeout);
-  serve::Json export_params = serve::Json::object();
-  export_params.set("op", serve::Json("export"));
-  const serve::CallResult exported =
-      peer.call("cache", std::move(export_params), 1);
-  UPA_REQUIRE(exported.ok(),
-              "cache export failed: " + exported.error_message);
-  const serve::Json* export_result = exported.result();
-  const serve::Json* hex = export_result != nullptr
-                               ? export_result->find("segment_hex")
-                               : nullptr;
-  const serve::Json* count = export_result != nullptr
-                                 ? export_result->find("exported_records")
-                                 : nullptr;
-  UPA_REQUIRE(hex != nullptr && count != nullptr,
-              "cache export response lacks segment_hex/exported_records");
-
-  serve::Client fresh;
-  fresh.connect(to.host, to.port, timeout, timeout);
-  serve::Json import_params = serve::Json::object();
-  import_params.set("op", serve::Json("import"));
-  import_params.set("segment_hex", *hex);
-  const serve::CallResult imported =
-      fresh.call("cache", std::move(import_params), 2);
-  UPA_REQUIRE(imported.ok(),
-              "cache import failed: " + imported.error_message);
-  const serve::Json* import_result = imported.result();
-  const serve::Json* seeded = import_result != nullptr
-                                  ? import_result->find("imported_records")
-                                  : nullptr;
-  UPA_REQUIRE(seeded != nullptr,
-              "cache import response lacks imported_records");
-  return {static_cast<std::uint64_t>(count->as_number()),
-          static_cast<std::uint64_t>(seeded->as_number())};
-}
-
-/// Retrying wrapper: both RPCs race the open-loop workload for the
-/// replicas' bounded admission queues (a 503 mid-run is expected, the
-/// same transient the front's retry layer absorbs), and the freshly
-/// restarted importer may still be binding its port. Each attempt
-/// reconnects from scratch. Retry count and spacing come from the
-/// experiment config (historically hard-coded to 40 x 250 ms).
-std::pair<std::uint64_t, std::uint64_t> transfer_cache(
-    const UpstreamAddress& from, const UpstreamAddress& to, double timeout,
-    int attempts, int interval_ms) {
-  std::string last_error;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    try {
-      return transfer_cache_once(from, to, timeout);
-    } catch (const std::exception& error) {
-      last_error = error.what();
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-  }
-  throw common::ModelError("cache transfer failed after " +
-                           std::to_string(attempts) +
-                           " attempts: " + last_error);
-}
-
 /// Anti-entropy convergence probe: polls the restarted replica's
-/// `cache stats` until its agent reports nonzero records_pulled (the
-/// gossip pull replaced the orchestrator's transfer). Returns
-/// {rounds, records_pulled}; throws after the retry budget.
+/// `cache stats` until its agent reports nonzero records_pulled, every
+/// 250 ms for up to 10 s (the probe races the restart and the open-loop
+/// workload for the replica's bounded admission queue). Returns
+/// {rounds, records_pulled}; throws once the budget is spent.
 std::pair<std::uint64_t, std::uint64_t> await_anti_entropy_pull(
-    const UpstreamAddress& replica, double timeout, int attempts,
-    int interval_ms) {
+    const UpstreamAddress& replica, double timeout) {
+  constexpr int attempts = 40;
+  constexpr int interval_ms = 250;
   std::string last_error = "never connected";
   for (int attempt = 0; attempt < attempts; ++attempt) {
     try {
@@ -403,19 +340,13 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
                 "kill window must have positive duration");
   }
 
-  // Warm transfer needs one replica the schedule never kills: it is the
-  // export source, so it must be alive whenever a restart imports.
-  const bool warm = config.warm_transfer && !config.kills.empty();
-  const bool anti_entropy = warm && config.anti_entropy_ms > 0;
-  UPA_REQUIRE(config.anti_entropy_ms == 0 || config.warm_transfer,
-              "anti_entropy_ms requires warm_transfer");
-  UPA_REQUIRE(config.warm_transfer_retries >= 1 &&
-                  config.warm_transfer_interval_ms >= 1,
-              "warm transfer retry budget must be positive");
+  // The warm peer is one replica the schedule never kills, so every
+  // restarted replica has a live sibling holding the warm set.
+  const bool warm = config.anti_entropy_ms > 0 && !config.kills.empty();
   std::size_t warm_peer = 0;
   if (warm) {
     UPA_REQUIRE(config.warm_points >= 1,
-                "warm transfer needs warm_points >= 1");
+                "anti-entropy warm restart needs warm_points >= 1");
     std::vector<bool> killed(config.replicas, false);
     for (const KillEvent& kill : config.kills) killed[kill.replica] = true;
     bool found = false;
@@ -426,24 +357,23 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
         break;
       }
     }
-    UPA_REQUIRE(found,
-                "warm transfer needs one replica outside the kill schedule");
+    UPA_REQUIRE(found, "anti-entropy warm restart needs one replica "
+                       "outside the kill schedule");
   }
 
   FarmOrchestrator farm(config.replica, config.replicas);
   farm.start_all();
 
   // Ports are fixed after start_all (restarts reuse them), so this
-  // snapshot stays valid for the killer thread's transfers.
+  // snapshot stays valid for the killer thread's probes.
   const std::vector<UpstreamAddress> addresses = farm.addresses();
   const double warm_timeout = std::max(config.call_timeout_seconds, 1.0);
 
-  // Anti-entropy mode: every replica that restarts comes back with the
-  // sibling port map and a gossip interval -- it re-warms ITSELF. The
-  // peer list can only be built now, after the ephemeral ports are
-  // known, which is why it rides on restart args instead of the first
-  // spawn.
-  if (anti_entropy) {
+  // Every replica that restarts comes back with the sibling port map
+  // and a gossip interval -- it re-warms ITSELF. The peer list can only
+  // be built now, after the ephemeral ports are known, which is why it
+  // rides on restart args instead of the first spawn.
+  if (warm) {
     for (std::size_t i = 0; i < addresses.size(); ++i) {
       std::string peers;
       for (std::size_t j = 0; j < addresses.size(); ++j) {
@@ -457,13 +387,10 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
     }
   }
 
-  // Warm-transfer state shared with the killer thread; it is only read
+  // Warm-restart state shared with the killer thread; it is only read
   // back after the thread is joined.
   std::string warm_error;
   std::uint64_t warm_points_computed = 0;
-  std::uint64_t warm_export_last = 0;
-  std::uint64_t warm_import_total = 0;
-  std::uint64_t orchestrator_transfers = 0;
   std::uint64_t anti_rounds = 0;
   std::uint64_t anti_pulled = 0;
   if (warm) {
@@ -507,31 +434,17 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
                       std::chrono::steady_clock::duration>(
                       std::chrono::duration<double>(kill.up_at_seconds)));
       farm.restart_replica(kill.replica);
-      // Warm restart: the fresh process imports the peer's cache before
-      // (well, while) the front routes traffic back to it. In
-      // anti-entropy mode the orchestrator drives NOTHING -- the
-      // restarted replica gossips the warm set in itself; we only poll
-      // until its pull counter moves.
+      // Warm restart: the orchestrator drives NOTHING -- the restarted
+      // replica gossips the warm set in itself; we only poll until its
+      // pull counter moves.
       if (warm && warm_error.empty()) {
         try {
-          if (anti_entropy) {
-            const auto [rounds, pulled] = await_anti_entropy_pull(
-                addresses[kill.replica], warm_timeout,
-                config.warm_transfer_retries,
-                config.warm_transfer_interval_ms);
-            anti_rounds = rounds;
-            anti_pulled += pulled;
-          } else {
-            const auto [exported, seeded] = transfer_cache(
-                addresses[warm_peer], addresses[kill.replica], warm_timeout,
-                config.warm_transfer_retries,
-                config.warm_transfer_interval_ms);
-            ++orchestrator_transfers;
-            warm_export_last = exported;
-            warm_import_total += seeded;
-          }
+          const auto [rounds, pulled] =
+              await_anti_entropy_pull(addresses[kill.replica], warm_timeout);
+          anti_rounds = rounds;
+          anti_pulled += pulled;
         } catch (const std::exception& e) {
-          warm_error = std::string("warm transfer failed: ") + e.what();
+          warm_error = std::string("anti-entropy pull failed: ") + e.what();
         }
       }
     }
@@ -559,12 +472,10 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
   if (warm) {
     result.warm_peer = warm_peer;
     result.warm_points_computed = warm_points_computed;
-    result.warm_export_records = warm_export_last;
-    result.warm_import_records = warm_import_total;
     if (warm_error.empty()) {
       // Re-issue the warm design points against the restarted replica:
-      // with the import in place they replay as pure cache hits (its
-      // own stats window is reset first, and the loss workload's
+      // with the pulled warm set in place they replay as pure cache hits
+      // (its own stats window is reset first, and the loss workload's
       // `sleep` calls never touch the cache).
       try {
         const std::size_t restarted = config.kills.front().replica;
@@ -600,16 +511,11 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
         warm_error = std::string("warm verification failed: ") + e.what();
       }
     }
-    result.warm_transfer_error = warm_error;
-    result.warm_transfer_ok = warm_error.empty() && result.warmed_hits > 0;
+    result.anti_entropy_error = warm_error;
     result.anti_entropy_rounds = anti_rounds;
     result.anti_entropy_records_pulled = anti_pulled;
-    result.orchestrator_transfers = orchestrator_transfers;
-    if (anti_entropy) {
-      result.anti_entropy_ok = warm_error.empty() && anti_pulled > 0 &&
-                               orchestrator_transfers == 0 &&
-                               result.warmed_hits > 0;
-    }
+    result.anti_entropy_ok =
+        warm_error.empty() && anti_pulled > 0 && result.warmed_hits > 0;
   }
   result.front = front.stats();
   result.upstreams = front.upstreams();

@@ -142,31 +142,19 @@ struct FarmExperimentConfig {
   /// loadgen issued must appear as exactly one root span whose attempt
   /// children match its `attempts` attribute, with zero drops).
   bool trace = false;
-  /// Warm-transfer mode: before the workload starts, a peer replica
-  /// outside the kill schedule is warmed with `warm_points` distinct
-  /// cacheable design-point evaluations; after every restart the fresh
-  /// process imports the peer's cache over the wire (`cache export` on
-  /// the peer, `cache import` on the restarted replica); after the
-  /// workload the same design points are re-issued to the restarted
-  /// replica and its hit count is recorded -- nonzero warmed_hits is
-  /// the warm-restart evidence (the kill-9 restart no longer pays the
-  /// cold cost for anything its peer had already solved).
-  bool warm_transfer = false;
-  std::size_t warm_points = 16;
-  /// Transfer RPCs race the restart and the open-loop workload, so the
-  /// orchestrator retries: up to `warm_transfer_retries` attempts,
-  /// `warm_transfer_interval_ms` apart. The defaults are the historical
-  /// hard-coded values (40 x 250 ms = 10 s worst case).
-  int warm_transfer_retries = 40;
-  int warm_transfer_interval_ms = 250;
-  /// Anti-entropy mode (requires warm_transfer): instead of the
-  /// orchestrator exporting/importing caches over restarts, every
-  /// restarted replica is spawned with `--peers <siblings>
-  /// --anti-entropy-ms N` and pulls the warm set ITSELF -- the
-  /// orchestrator issues zero transfer RPCs and merely polls the
-  /// replica's `cache stats` until anti_entropy.records_pulled is
-  /// nonzero. 0 = off (classic orchestrator-driven transfer).
+  /// Anti-entropy warm restart, the gossip interval in ms (0 = off):
+  /// before the workload starts, a peer replica outside the kill
+  /// schedule is warmed with `warm_points` distinct cacheable
+  /// design-point evaluations; every restarted replica is spawned with
+  /// `--peers <siblings> --anti-entropy-ms N` and pulls the warm set
+  /// ITSELF while the orchestrator merely polls its `cache stats` until
+  /// anti_entropy.records_pulled is nonzero; after the workload the same
+  /// design points are re-issued to the restarted replica and its hit
+  /// count is recorded -- nonzero warmed_hits is the warm-restart
+  /// evidence (the kill-9 restart no longer pays the cold cost for
+  /// anything its peer had already solved).
   int anti_entropy_ms = 0;
+  std::size_t warm_points = 16;
 };
 
 struct FarmExperimentResult {
@@ -207,21 +195,16 @@ struct FarmExperimentResult {
   bool trace_accounted = false;
   std::string trace_accounting_error;  ///< first failed check; empty = ok
 
-  // Warm-transfer accounting, filled only when config.warm_transfer is
-  // set and the schedule has kills.
+  // Anti-entropy accounting, filled only when config.anti_entropy_ms > 0
+  // and the schedule has kills.
   std::size_t warm_peer = 0;  ///< replica warmed before the run
   std::uint64_t warm_points_computed = 0;  ///< peer pre-warm evaluations
-  std::uint64_t warm_export_records = 0;  ///< shipped per restart (last)
-  std::uint64_t warm_import_records = 0;  ///< seeded on restarts (total)
   std::uint64_t warmed_hits = 0;  ///< post-run replays on the restarted
-  bool warm_transfer_ok = false;  ///< transfers ran and warmed_hits > 0
-  std::string warm_transfer_error;  ///< first failure; empty = ok
-
-  // Anti-entropy accounting, filled only when config.anti_entropy_ms > 0.
   std::uint64_t anti_entropy_rounds = 0;  ///< exchanges the replica ran
   std::uint64_t anti_entropy_records_pulled = 0;  ///< via gossip pulls
-  std::uint64_t orchestrator_transfers = 0;  ///< export/import RPCs WE drove
-  bool anti_entropy_ok = false;  ///< converged with zero orchestrator RPCs
+  /// No error, records pulled, and the warm points replayed as hits.
+  bool anti_entropy_ok = false;
+  std::string anti_entropy_error;  ///< first failure; empty = ok
 };
 
 /// Runs the full experiment: spawn the farm, start the front, replay

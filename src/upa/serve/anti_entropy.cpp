@@ -115,9 +115,8 @@ bool AntiEntropyAgent::run_round(std::size_t peer_index) {
     const std::string have_hex = cache::to_hex(
         cache::encode_digests(cache::digest_summary(cache::global())));
 
-    // Steps 2-4: pull the delta in bounded pages over the kept-alive
-    // connection. A peer that ignores max_bytes answers one unpaged
-    // blob whose reply lacks `complete`; that imports as a single page.
+    // Steps 2-4: pull the delta page by page over the kept-alive
+    // connection; the peer bounds each page.
     std::uint64_t pulled = 0;
     std::uint64_t pages = 0;
     std::string cursor_hex;
@@ -125,10 +124,6 @@ bool AntiEntropyAgent::run_round(std::size_t peer_index) {
       Json params = Json::object();
       params.set("op", Json(std::string("pull")));
       params.set("have_hex", Json(have_hex));
-      if (config_.max_pull_bytes > 0) {
-        params.set("max_bytes",
-                   Json(static_cast<double>(config_.max_pull_bytes)));
-      }
       if (!cursor_hex.empty()) params.set("cursor", Json(cursor_hex));
       const CallResult reply = client.call("cache", std::move(params));
       if (!reply.ok()) {
@@ -138,8 +133,11 @@ bool AntiEntropyAgent::run_round(std::size_t peer_index) {
       const Json* result = reply.result();
       const Json* segment_hex =
           result != nullptr ? result->find("segment_hex") : nullptr;
-      UPA_REQUIRE(segment_hex != nullptr && segment_hex->is_string(),
-                  "cache pull reply lacks segment_hex");
+      const Json* complete =
+          result != nullptr ? result->find("complete") : nullptr;
+      UPA_REQUIRE(segment_hex != nullptr && segment_hex->is_string() &&
+                      complete != nullptr && complete->is_bool(),
+                  "cache pull reply lacks segment_hex/complete");
 
       const std::string blob = cache::from_hex(segment_hex->as_string());
       cache::ImportStats imported;
@@ -153,11 +151,7 @@ bool AntiEntropyAgent::run_round(std::size_t peer_index) {
       pulled += imported.records_seeded;
       ++pages;
 
-      const Json* complete = result->find("complete");
-      if (complete == nullptr || !complete->is_bool() ||
-          complete->as_bool()) {
-        break;
-      }
+      if (complete->as_bool()) break;
       const Json* next_cursor = result->find("next_cursor");
       UPA_REQUIRE(next_cursor != nullptr && next_cursor->is_string(),
                   "incomplete pull reply lacks next_cursor");

@@ -3,20 +3,21 @@
 // replica's warm set converged with its peers WITHOUT any orchestrator
 // driving transfers.
 //
-// Every `interval` the agent picks the next peer round-robin and runs
-// one pull exchange:
+// This is the ONLY way cache state moves between replicas. Every
+// `interval` the agent picks the next peer round-robin and runs one
+// pull exchange:
 //
 //   0. `cache` op=fingerprint RPC: when the peer's O(1) (count, fold)
 //      digest fingerprint equals ours the sets already converged and
 //      the round ends here -- steady state costs one tiny RPC per
 //      round, not a digest-summary ship. (A peer predating the op just
 //      falls through to the pull.)
-//   1. summarize what this replica HAS: the sorted key digests of every
-//      completed cache entry (cache::digest_summary);
-//   2. `cache` op=pull RPC to the peer with that summary (have_hex),
-//      bounded to max_pull_bytes of blob per reply -- the peer answers
-//      in digest-ordered pages (cursor/complete) so no reply line can
-//      outgrow the wire protocol's line cap;
+//   1. summarize what this replica HAS, locally: the sorted key digests
+//      of every completed cache entry (cache::digest_summary);
+//   2. `cache` op=pull RPC to the peer with that summary (have_hex).
+//      The peer answers in digest-ordered pages (cursor/complete) of at
+//      most kCachePullPageBytes of blob each (protocol.hpp), so no
+//      reply line can outgrow the wire protocol's line cap;
 //   3. each page is a delta segment blob holding ONLY the records the
 //      caller is missing (cache::export_delta_page);
 //   4. import every page -- through the persistence tier when attached,
@@ -50,10 +51,6 @@ struct AntiEntropyConfig {
   std::vector<std::string> peers;  ///< "host:port" per peer replica
   std::chrono::milliseconds interval{1000};
   double connect_timeout_seconds = 2.0;
-  /// Blob-byte bound per pull reply (hex doubles it on the wire, so
-  /// 300 kB stays well under the protocol's 1 MB line cap). 0 asks the
-  /// peer for the whole delta in one unpaged reply.
-  std::size_t max_pull_bytes = 300'000;
 };
 
 class AntiEntropyAgent {

@@ -1,5 +1,6 @@
 #include "upa/serve/protocol.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -368,9 +369,9 @@ Json cache_stats_json() {
 
 /// `cache` method: lets a long-lived server flush or re-enable the
 /// process-wide evaluation cache between reconfigurations without a
-/// restart, and -- via export/import -- ship its contents to a peer as a
-/// hex-encoded segment blob (the farm's warm-transfer path). Every op
-/// returns the post-op stats snapshot.
+/// restart, and answers the anti-entropy exchange peers use to move
+/// warm sets (`fingerprint`, then paged `pull`). Every op returns the
+/// post-op stats snapshot.
 Json method_cache(const Json& params) {
   const std::string op = get_string(params, "op", "stats");
   Json extra = Json::object();
@@ -382,43 +383,6 @@ Json method_cache(const Json& params) {
     cache::set_enabled(true);
   } else if (op == "disable") {
     cache::set_enabled(false);
-  } else if (op == "export") {
-    cache::ExportStats ex;
-    const std::string blob =
-        cache::export_segment_blob(cache::global(), &ex);
-    extra.set("exported_records", Json(static_cast<double>(ex.records)));
-    extra.set("skipped_no_codec",
-              Json(static_cast<double>(ex.skipped_no_codec)));
-    extra.set("segment_hex", Json(cache::to_hex(blob)));
-  } else if (op == "import") {
-    const std::string hex = get_string(params, "segment_hex", "");
-    UPA_REQUIRE(!hex.empty(),
-                "param 'segment_hex' must be a non-empty hex string");
-    const std::string blob = cache::from_hex(hex);
-    cache::ImportStats im;
-    if (cache::PersistentCache* p = cache::global_persistence()) {
-      im = p->import_blob(blob);
-    } else {
-      im = cache::import_segment_blob(cache::global(), blob);
-    }
-    UPA_REQUIRE(!im.segment_rejected,
-                "segment rejected: format-version or solver-version tag "
-                "mismatch");
-    extra.set("imported_records",
-              Json(static_cast<double>(im.records_seeded)));
-    extra.set("duplicate_records",
-              Json(static_cast<double>(im.records_duplicate)));
-    extra.set("skipped_records",
-              Json(static_cast<double>(im.records_skipped)));
-    extra.set("appended_records",
-              Json(static_cast<double>(im.records_appended)));
-  } else if (op == "digest") {
-    // Anti-entropy step 1: the compact summary of what this replica
-    // holds -- sorted key digests, 8 bytes per entry.
-    const std::vector<std::uint64_t> digests =
-        cache::digest_summary(cache::global());
-    extra.set("digest_count", Json(static_cast<double>(digests.size())));
-    extra.set("digests_hex", Json(cache::to_hex(cache::encode_digests(digests))));
   } else if (op == "fingerprint") {
     // Anti-entropy step 0: the O(1) convergence check. Two replicas
     // whose (count, fold) pairs match hold the same warm set, so the
@@ -429,49 +393,39 @@ Json method_cache(const Json& params) {
     extra.set("fingerprint_hex",
               Json(cache::to_hex(cache::encode_digests({fp.fold}))));
   } else if (op == "pull") {
-    // Anti-entropy step 2: answer with ONLY the records the caller is
-    // missing. An empty/absent have_hex degenerates to a full export.
-    // With max_bytes the delta is cut into digest-ordered pages (resume
-    // via cursor) so the reply line stays under the protocol's line cap
-    // no matter how warm this replica is.
+    // Anti-entropy step 1: answer with ONLY the records the caller's
+    // digest summary is missing (an empty/absent have_hex asks for
+    // everything), cut into digest-ordered pages resumed via cursor.
+    // max_bytes can only shrink a page below kCachePullPageBytes, so
+    // no reply line outgrows the protocol's line cap.
     const std::string have_hex = get_string(params, "have_hex", "");
     const std::vector<std::uint64_t> have =
         cache::decode_digests(cache::from_hex(have_hex));
-    const double max_bytes = get_number(params, "max_bytes", 0.0);
-    extra.set("have_count", Json(static_cast<double>(have.size())));
-    if (max_bytes > 0.0) {
-      const std::string cursor_hex = get_string(params, "cursor", "");
-      std::uint64_t cursor = 0;
-      if (!cursor_hex.empty()) {
-        const std::vector<std::uint64_t> decoded =
-            cache::decode_digests(cache::from_hex(cursor_hex));
-        UPA_REQUIRE(decoded.size() == 1,
-                    "param 'cursor' must be 16 hex chars");
-        cursor = decoded.front();
-      }
-      const cache::DeltaPage page = cache::export_delta_page(
-          cache::global(), have, cursor,
-          static_cast<std::size_t>(max_bytes));
-      extra.set("delta_records", Json(static_cast<double>(page.records)));
-      extra.set("skipped_no_codec",
-                Json(static_cast<double>(page.skipped_no_codec)));
-      extra.set("segment_hex", Json(cache::to_hex(page.blob)));
-      extra.set("complete", Json(page.complete));
-      extra.set("next_cursor", Json(cache::to_hex(cache::encode_digests(
-                                  {page.next_cursor}))));
-    } else {
-      cache::ExportStats ex;
-      const std::string blob =
-          cache::export_delta_blob(cache::global(), have, &ex);
-      extra.set("delta_records", Json(static_cast<double>(ex.records)));
-      extra.set("skipped_no_codec",
-                Json(static_cast<double>(ex.skipped_no_codec)));
-      extra.set("segment_hex", Json(cache::to_hex(blob)));
+    const std::size_t max_bytes = std::min(
+        get_size(params, "max_bytes", kCachePullPageBytes),
+        kCachePullPageBytes);
+    const std::string cursor_hex = get_string(params, "cursor", "");
+    std::uint64_t cursor = 0;
+    if (!cursor_hex.empty()) {
+      const std::vector<std::uint64_t> decoded =
+          cache::decode_digests(cache::from_hex(cursor_hex));
+      UPA_REQUIRE(decoded.size() == 1, "param 'cursor' must be 16 hex chars");
+      cursor = decoded.front();
     }
+    const cache::DeltaPage page =
+        cache::export_delta_page(cache::global(), have, cursor, max_bytes);
+    extra.set("have_count", Json(static_cast<double>(have.size())));
+    extra.set("delta_records", Json(static_cast<double>(page.records)));
+    extra.set("skipped_no_codec",
+              Json(static_cast<double>(page.skipped_no_codec)));
+    extra.set("segment_hex", Json(cache::to_hex(page.blob)));
+    extra.set("complete", Json(page.complete));
+    extra.set("next_cursor", Json(cache::to_hex(cache::encode_digests(
+                                 {page.next_cursor}))));
   } else if (op != "stats") {
     throw common::ModelError(
         "param 'op' must be stats, clear, reset_stats, enable, disable, "
-        "export, import, digest, fingerprint, or pull, got " +
+        "fingerprint, or pull, got " +
         op);
   }
   Json out = cache_stats_json();

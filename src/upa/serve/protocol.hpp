@@ -24,6 +24,7 @@
 // or without the evaluation cache -- the cache replays results bit for
 // bit, so the serialized payload cannot differ.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -43,6 +44,11 @@ struct ErrorCode {
   static constexpr int kQueueFull = 503;
   static constexpr int kDeadlineExceeded = 504;
 };
+
+/// Blob-byte budget of one `cache pull` reply page. Hex doubles it on
+/// the wire, so a page stays well under the 1 MB line cap; a caller's
+/// `max_bytes` is clamped to it, and a pull without one pages at it.
+inline constexpr std::size_t kCachePullPageBytes = 300'000;
 
 /// Builds the success / error envelopes. `id` is echoed verbatim.
 [[nodiscard]] Json make_result_response(const Json& id, Json result);
@@ -103,7 +109,9 @@ struct TraceContext {
 ///   run_campaign           fault-injection campaign (scripted outage)
 ///   simulate_end_to_end    end-to-end session simulation
 ///   cache                  evaluation-cache control: op = stats |
-///                          clear | reset_stats | enable | disable
+///                          clear | reset_stats | enable | disable,
+///                          plus the anti-entropy exchange: op =
+///                          fingerprint | pull (see anti_entropy.hpp)
 ///
 /// The server registers one extra method (`stats`) that closes over its
 /// live counters. Handlers receive the request's `params` object (null

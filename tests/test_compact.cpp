@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "poll_until.hpp"
 #include "upa/cache/compact.hpp"
 #include "upa/cache/eval_cache.hpp"
 #include "upa/cache/index.hpp"
@@ -324,12 +326,8 @@ TEST(Compact, MaintenanceThreadCompactsInTheBackground) {
   config.compact_min_segments = 2;
   cache::PersistentCache tier(ec, tmp.dir, config);
   tier.start_maintenance(std::chrono::milliseconds(5));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (tier.stats().compactions == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  (void)upa::testing::poll_until(
+      [&tier] { return tier.stats().compactions > 0; });
   tier.stop_maintenance();
   EXPECT_GE(tier.stats().compactions, 1u);
   EXPECT_EQ(tier.stats().compact_records_dropped, 1u);  // the duplicate
@@ -357,10 +355,11 @@ TEST(AntiEntropy, DigestsRoundTripAndDeltaShipsOnlyMissingRecords) {
   EXPECT_THROW((void)cache::decode_digests("short"), ModelError);
 
   // B answers A's pull with only what A is missing: keys 3 and 4.
-  cache::ExportStats exported;
-  const std::string delta = cache::export_delta_blob(b, have_a, &exported);
-  EXPECT_EQ(exported.records, 2u);
-  const cache::ImportStats imported = cache::import_segment_blob(a, delta);
+  const cache::DeltaPage delta = cache::export_delta_page(
+      b, have_a, 0, std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(delta.records, 2u);
+  const cache::ImportStats imported =
+      cache::import_segment_blob(a, delta.blob);
   EXPECT_EQ(imported.records_seeded, 2u);
   EXPECT_EQ(imported.records_duplicate, 0u);
   EXPECT_EQ(a.size(), 4u);
@@ -384,9 +383,10 @@ TEST(AntiEntropy, ConvergesUnderConcurrentInserts) {
   std::atomic<bool> writers_done{false};
 
   const auto pull = [](cache::EvalCache& into, cache::EvalCache& from) {
-    const std::string delta =
-        cache::export_delta_blob(from, cache::digest_summary(into));
-    (void)cache::import_segment_blob(into, delta);
+    const cache::DeltaPage delta =
+        cache::export_delta_page(from, cache::digest_summary(into), 0,
+                                 std::numeric_limits<std::size_t>::max());
+    (void)cache::import_segment_blob(into, delta.blob);
   };
 
   std::thread writer_a([&] {

@@ -815,55 +815,13 @@ TEST(FarmFailover, KillNineMidRunStaysWithinCompositePrediction) {
   EXPECT_GT(r.predicted_loss_imperfect, r.predicted_loss_perfect);
 }
 
-TEST(FarmFailover, WarmTransferRewarmsTheRestartedReplica) {
-  // The persistent-cache satellite of the kill-9 experiment: replica 1
-  // (outside the kill schedule) is pre-warmed with distinct design
-  // points; after replica 0's restart the orchestrator ships the peer's
-  // cache over the wire (`cache export` -> `cache import`); the re-
-  // issued design points must then HIT on the restarted process -- a
-  // warm restart instead of PR 6's cold one.
-  upa::dispatch::FarmExperimentConfig config;
-  config.replica.served_binary = UPA_SERVED_BINARY;
-  config.replica.workers = 1;
-  config.replica.capacity = 3;
-  config.replicas = 3;
-  config.policy = BalancePolicy::kLeastOutstanding;
-  config.retry.max_attempts = 3;
-  config.lambda = 20.0;
-  config.nu = 10.0;
-  config.requests = 200;  // ~10 s of open-loop load
-  config.seed = 5;
-  config.call_timeout_seconds = 5.0;
-  config.health.probe_interval_seconds = 0.25;
-  config.health.unhealthy_threshold = 1;
-  config.health.healthy_threshold = 1;
-  config.kills.push_back({0, 3.0, 5.5});
-  config.warm_transfer = true;
-  config.warm_points = 8;
-
-  const upa::dispatch::FarmExperimentResult r =
-      upa::dispatch::run_farm_experiment(config);
-
-  EXPECT_EQ(r.kills_executed, 1u);
-  EXPECT_TRUE(r.warm_transfer_ok) << r.warm_transfer_error;
-  EXPECT_EQ(r.warm_peer, 1u);  // first replica outside the kill set
-  EXPECT_EQ(r.warm_points_computed, config.warm_points);
-  // Every pre-warmed point crossed the wire and seeded the restarted
-  // replica, and re-issuing the points afterwards replayed them.
-  EXPECT_GE(r.warm_export_records, config.warm_points);
-  EXPECT_GE(r.warm_import_records, config.warm_points);
-  EXPECT_GE(r.warmed_hits, config.warm_points);
-  // The workload itself still rode the retry layer cleanly.
-  EXPECT_EQ(r.loss.transport_errors, 0u);
-}
-
 TEST(FarmFailover, AntiEntropyConvergesWithoutOrchestratorTransfers) {
-  // The gossip variant of the warm restart: the killed replica comes
+  // The warm restart: replica 1 (outside the kill schedule) is
+  // pre-warmed with distinct design points; the killed replica comes
   // back with --peers/--anti-entropy-ms, diffs digests against a
-  // sibling, and pulls ONLY its missing records itself. The
-  // orchestrator must never ship a blob (`cache export`/`import`) --
-  // its transfer counter stays zero while the replica still ends up
-  // warm enough to replay every pre-warmed design point as a hit.
+  // sibling, and pulls ONLY its missing records itself -- the
+  // orchestrator ships nothing, yet the replica ends up warm enough to
+  // replay every pre-warmed design point as a hit.
   upa::dispatch::FarmExperimentConfig config;
   config.replica.served_binary = UPA_SERVED_BINARY;
   config.replica.workers = 1;
@@ -880,7 +838,6 @@ TEST(FarmFailover, AntiEntropyConvergesWithoutOrchestratorTransfers) {
   config.health.unhealthy_threshold = 1;
   config.health.healthy_threshold = 1;
   config.kills.push_back({0, 3.0, 5.5});
-  config.warm_transfer = true;
   config.warm_points = 8;
   config.anti_entropy_ms = 100;
 
@@ -888,13 +845,13 @@ TEST(FarmFailover, AntiEntropyConvergesWithoutOrchestratorTransfers) {
       upa::dispatch::run_farm_experiment(config);
 
   EXPECT_EQ(r.kills_executed, 1u);
-  EXPECT_TRUE(r.anti_entropy_ok) << r.warm_transfer_error;
-  EXPECT_TRUE(r.warm_transfer_ok) << r.warm_transfer_error;
+  EXPECT_TRUE(r.anti_entropy_ok) << r.anti_entropy_error;
+  EXPECT_EQ(r.warm_peer, 1u);  // first replica outside the kill set
+  EXPECT_EQ(r.warm_points_computed, config.warm_points);
   // The replica gossiped at least one round and pulled the warm set
-  // itself; the orchestrator shipped nothing.
+  // itself.
   EXPECT_GE(r.anti_entropy_rounds, 1u);
   EXPECT_GE(r.anti_entropy_records_pulled, config.warm_points);
-  EXPECT_EQ(r.orchestrator_transfers, 0u);
   EXPECT_GE(r.warmed_hits, config.warm_points);
   EXPECT_EQ(r.loss.transport_errors, 0u);
 }

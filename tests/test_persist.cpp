@@ -373,27 +373,6 @@ TEST(PersistentCacheTier, WarmRestartReplaysWithoutRecompute) {
   EXPECT_EQ(tier.stats().disk_hits, 1u);
 }
 
-TEST(PersistentCacheTier, EagerAttachStillSeedsEverythingUpFront) {
-  TempDir tmp;
-  const cache::CacheKey key = key_of(42.0);
-  {
-    cache::EvalCache first_run;
-    cache::PersistentCache tier(first_run, tmp.dir);
-    (void)first_run.get_or_compute<double>(key, [] { return 6.25; });
-  }
-  cache::EvalCache second_run;
-  cache::PersistConfig config;
-  config.attach = cache::PersistConfig::Attach::kEager;
-  cache::PersistentCache tier(second_run, tmp.dir, config);
-  EXPECT_EQ(tier.stats().records_replayed, 1u);  // decoded at construct
-  EXPECT_EQ(second_run.size(), 1u);
-  const auto value = second_run.get_or_compute<double>(key, []() -> double {
-    throw ModelError("cold compute ran after an eager warm restart");
-  });
-  EXPECT_EQ(*value, 6.25);
-  EXPECT_EQ(second_run.stats().hits, 1u);
-}
-
 TEST(PersistentCacheTier, RerunAgainstSameDirectoryAppendsNothing) {
   TempDir tmp;
   const auto run_workload = [&tmp] {

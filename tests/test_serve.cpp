@@ -14,7 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +24,9 @@
 
 #include "poll_until.hpp"
 #include "upa/cache/eval_cache.hpp"
+#include "upa/cache/persist.hpp"
+#include "upa/cache/segment.hpp"
+#include "upa/cache/serialize.hpp"
 #include "upa/common/error.hpp"
 #include "upa/dispatch/front.hpp"
 #include "upa/obs/observer.hpp"
@@ -175,60 +180,11 @@ TEST(ServeDispatcher, CacheOnResponsesAreByteIdentical) {
   upa::cache::global().clear();
 }
 
-TEST(ServeDispatcher, CacheExportImportRoundTripOverRpc) {
-  // The farm's warm-transfer path end to end through the protocol: warm
-  // the cache, `cache export` it to a hex blob, wipe the cache (the
-  // restarted replica), `cache import` the blob back, and require the
-  // re-issued evaluation to be a pure hit with a byte-identical line.
-  const Dispatcher d;
-  const std::string request =
-      R"({"id": 1, "method": "mmck_metrics",)"
-      R"( "params": {"alpha": 173, "nu": 89, "servers": 3, "capacity": 11}})";
-
-  upa::cache::ScopedEnable on(true);
-  upa::cache::global().clear();
-  const std::string warm_line = d.dispatch_line(request);
-
-  const Json exported = parse_json(d.dispatch_line(
-      R"({"id": 2, "method": "cache", "params": {"op": "export"}})"));
-  ASSERT_TRUE(exported.find("ok")->as_bool()) << exported.dump();
-  const Json* result = exported.find("result");
-  EXPECT_GE(result->find("exported_records")->as_number(), 1.0);
-  const std::string hex = result->find("segment_hex")->as_string();
-  ASSERT_FALSE(hex.empty());
-
-  ASSERT_TRUE(parse_json(d.dispatch_line(
-                             R"({"id": 3, "method": "cache",)"
-                             R"( "params": {"op": "clear"}})"))
-                  .find("ok")
-                  ->as_bool());
-  EXPECT_EQ(upa::cache::global().size(), 0u);
-
-  const Json imported = parse_json(d.dispatch_line(
-      R"({"id": 4, "method": "cache", "params": {"op": "import",)"
-      R"( "segment_hex": ")" +
-      hex + R"("}})"));
-  ASSERT_TRUE(imported.find("ok")->as_bool()) << imported.dump();
-  EXPECT_GE(imported.find("result")->find("imported_records")->as_number(),
-            1.0);
-
-  upa::cache::global().reset_stats();
-  EXPECT_EQ(d.dispatch_line(request), warm_line);
-  EXPECT_GT(upa::cache::global().stats().hits, 0u);
-  EXPECT_EQ(upa::cache::global().stats().misses, 0u);
-
-  // A corrupt blob is a 400-class envelope, not a crash.
-  const Json bad = parse_json(d.dispatch_line(
-      R"({"id": 5, "method": "cache",)"
-      R"( "params": {"op": "import", "segment_hex": "zz"}})"));
-  EXPECT_FALSE(bad.find("ok")->as_bool());
-  upa::cache::global().clear();
-}
-
 TEST(ServeDispatcher, CacheDigestPullShipsOnlyMissingRecords) {
-  // The anti-entropy pair over the protocol: `cache digest` summarizes
-  // what a replica holds, `cache pull` answers with ONLY the records
-  // the caller's summary is missing. A caller that has everything gets
+  // The anti-entropy pull over the protocol, driven the way the agent
+  // drives it: the caller summarizes what it holds locally
+  // (cache::digest_summary), and `cache pull` answers with ONLY the
+  // records that summary is missing. A caller that has everything gets
   // an empty delta; one that has nothing gets the full set, and
   // importing it after a wipe makes the re-issued evaluation a pure hit.
   const Dispatcher d;
@@ -243,14 +199,12 @@ TEST(ServeDispatcher, CacheDigestPullShipsOnlyMissingRecords) {
       R"({"id": 2, "method": "mmck_metrics",)"
       R"( "params": {"alpha": 223, "nu": 97, "servers": 4, "capacity": 13}})");
 
-  const Json digest = parse_json(d.dispatch_line(
-      R"({"id": 3, "method": "cache", "params": {"op": "digest"}})"));
-  ASSERT_TRUE(digest.find("ok")->as_bool()) << digest.dump();
-  const double count =
-      digest.find("result")->find("digest_count")->as_number();
+  const std::vector<std::uint64_t> digests =
+      upa::cache::digest_summary(upa::cache::global());
+  const double count = static_cast<double>(digests.size());
   EXPECT_GE(count, 2.0);
   const std::string have_hex =
-      digest.find("result")->find("digests_hex")->as_string();
+      upa::cache::to_hex(upa::cache::encode_digests(digests));
   // Packed little-endian u64s: 16 hex chars per digest.
   EXPECT_EQ(have_hex.size(), static_cast<std::size_t>(count) * 16);
 
@@ -278,11 +232,9 @@ TEST(ServeDispatcher, CacheDigestPullShipsOnlyMissingRecords) {
                              R"( "params": {"op": "clear"}})"))
                   .find("ok")
                   ->as_bool());
-  const Json imported = parse_json(d.dispatch_line(
-      R"({"id": 7, "method": "cache", "params": {"op": "import",)"
-      R"( "segment_hex": ")" +
-      blob_hex + R"("}})"));
-  ASSERT_TRUE(imported.find("ok")->as_bool()) << imported.dump();
+  const upa::cache::ImportStats imported = upa::cache::import_segment_blob(
+      upa::cache::global(), upa::cache::from_hex(blob_hex));
+  ASSERT_FALSE(imported.segment_rejected);
   upa::cache::global().reset_stats();
   EXPECT_EQ(d.dispatch_line(request), warm_line);
   EXPECT_GT(upa::cache::global().stats().hits, 0u);
@@ -300,7 +252,7 @@ TEST(ServeDispatcher, CacheDigestPullShipsOnlyMissingRecords) {
 TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
   // The scalable anti-entropy pair: `fingerprint` answers the O(1)
   // convergence probe, and `pull` with max_bytes cuts the delta into
-  // cursor-resumable pages whose union equals the unpaged blob.
+  // cursor-resumable pages whose union equals the one-page blob.
   const Dispatcher d;
   upa::cache::ScopedEnable on(true);
   upa::cache::global().clear();
@@ -329,11 +281,15 @@ TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
   EXPECT_NE(fp2.find("result")->find("fingerprint_hex")->as_string(),
             fp_hex);
 
-  // Unpaged pull for the reference blob size; then page at a fraction
-  // of it and walk the cursor chain.
+  // A pull without max_bytes pages at the server budget, which this
+  // small set fits in one complete page: the reference blob size. Then
+  // page at a fraction of it and walk the cursor chain.
   const Json full = parse_json(d.dispatch_line(
       R"({"id": 5, "method": "cache", "params": {"op": "pull"}})"));
   ASSERT_TRUE(full.find("ok")->as_bool()) << full.dump();
+  const Json* full_complete = full.find("result")->find("complete");
+  ASSERT_NE(full_complete, nullptr);
+  EXPECT_TRUE(full_complete->as_bool());
   const double full_records =
       full.find("result")->find("delta_records")->as_number();
   const std::size_t full_bytes =
@@ -370,7 +326,72 @@ TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
       R"({"id": 7, "method": "cache",)"
       R"( "params": {"op": "pull", "max_bytes": 1000, "cursor": "xyz"}})"));
   EXPECT_FALSE(bad.find("ok")->as_bool());
+
+  // max_bytes comes off an untrusted line: out-of-range, negative and
+  // fractional budgets are 400-class envelopes, never a size_t cast of
+  // garbage or a silent fall back to some other page size.
+  for (const char* hostile : {"1e300", "-5", "2.5"}) {
+    const Json r = parse_json(d.dispatch_line(
+        std::string(R"({"id": 8, "method": "cache",)"
+                    R"( "params": {"op": "pull", "max_bytes": )") +
+        hostile + "}}"));
+    ASSERT_FALSE(r.find("ok")->as_bool()) << hostile;
+    EXPECT_EQ(r.find("error")->find("code")->as_number(),
+              ErrorCode::kBadRequest)
+        << hostile;
+  }
   upa::cache::global().clear();
+}
+
+TEST(ServeDispatcher, PullPagesAreClampedToTheServerBudget) {
+  // A warm set larger than one page: whatever max_bytes the caller asks
+  // for, and with none at all, a reply carries at most
+  // kCachePullPageBytes of blob, so it always fits the line cap.
+  const Dispatcher d;
+  upa::cache::ScopedEnable on(true);
+  upa::cache::global().clear();
+  for (int k = 0; k < 10000; ++k) {
+    upa::cache::KeyBuilder kb("test.pull_budget", 1);
+    kb.add(static_cast<double>(k));
+    (void)upa::cache::global().get_or_compute<double>(
+        std::move(kb).finish(), [k] { return static_cast<double>(k); });
+  }
+  for (const char* params : {R"({"op": "pull"})",
+                             R"({"op": "pull", "max_bytes": 1e9})"}) {
+    const Json r = parse_json(d.dispatch_line(
+        std::string(R"({"id": 1, "method": "cache", "params": )") + params +
+        "}"));
+    ASSERT_TRUE(r.find("ok")->as_bool()) << params;
+    const Json* complete = r.find("result")->find("complete");
+    ASSERT_NE(complete, nullptr) << params;
+    EXPECT_FALSE(complete->as_bool()) << params;
+    EXPECT_LE(r.find("result")->find("segment_hex")->as_string().size() / 2,
+              upa::serve::kCachePullPageBytes)
+        << params;
+  }
+  upa::cache::global().clear();
+}
+
+TEST(ServeDispatcher, RemovedCacheOpsAreBadRequests) {
+  // Cache state moves between replicas only through fingerprint + paged
+  // pull; the old whole-cache verbs are unknown ops, and the error names
+  // exactly the ops that remain.
+  const Dispatcher d;
+  std::istringstream removed_ops("export import digest");
+  for (std::string op; removed_ops >> op;) {
+    const Json r = parse_json(d.dispatch_line(
+        R"({"id": 1, "method": "cache", "params": {"op": ")" + op +
+        R"(", "segment_hex": "00"}})"));
+    ASSERT_FALSE(r.find("ok")->as_bool()) << op;
+    EXPECT_EQ(r.find("error")->find("code")->as_number(),
+              ErrorCode::kBadRequest)
+        << op;
+    EXPECT_EQ(r.find("error")->find("message")->as_string(),
+              "param 'op' must be stats, clear, reset_stats, enable, "
+              "disable, fingerprint, or pull, got " +
+                  op)
+        << op;
+  }
 }
 
 TEST(AntiEntropy, ConvergedRoundShortCircuitsOnTheFingerprint) {
@@ -398,6 +419,42 @@ TEST(AntiEntropy, ConvergedRoundShortCircuitsOnTheFingerprint) {
   EXPECT_EQ(stats.records_pulled, 0u);
   EXPECT_EQ(stats.pages_pulled, 0u);
   server.stop();
+}
+
+TEST(AntiEntropy, PullReplyWithoutCompleteIsAProtocolError) {
+  // Every pull reply pages, so one lacking `complete` is a broken peer,
+  // not an unpaged blob to import: the round fails and counts an error.
+  // The fake peer errors on the fingerprint probe (the agent falls
+  // through to the pull) and answers the pull with an empty segment.
+  upa::cache::ScopedEnable on(true);
+  upa::cache::global().clear();
+  upa::serve::ConnectionServerConfig config;
+  config.reject_message = [](std::size_t) { return std::string("full"); };
+  upa::serve::ConnectionServer peer(
+      std::move(config),
+      [](const std::string& line, const upa::serve::RequestContext&) {
+        const Json request = parse_json(line);
+        const Json& id = *request.find("id");
+        if (request.find("params")->find("op")->as_string() != "pull") {
+          return upa::serve::make_error_response(id, 400, "no fingerprint")
+              .dump();
+        }
+        Json result = Json::object();
+        result.set("segment_hex",
+                   Json(upa::cache::to_hex(upa::cache::segment_header())));
+        return upa::serve::make_result_response(id, std::move(result)).dump();
+      });
+  peer.start();
+
+  upa::serve::AntiEntropyConfig ae;
+  ae.peers = {"127.0.0.1:" + std::to_string(peer.port())};
+  upa::serve::AntiEntropyAgent agent(ae);
+  EXPECT_FALSE(agent.run_round(0));
+  const upa::serve::AntiEntropyStats stats = agent.stats();
+  EXPECT_EQ(stats.pull_errors, 1u);
+  EXPECT_EQ(stats.pulls_ok, 0u);
+  EXPECT_EQ(stats.pages_pulled, 0u);
+  peer.stop();
 }
 
 // --- Server (loopback TCP) -----------------------------------------------

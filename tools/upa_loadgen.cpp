@@ -102,19 +102,12 @@ void print_usage(std::ostream& os) {
         "                       (default 6.0)\n"
         "  --probe-interval S   health probe period    (default 0.25)\n"
         "  --unhealthy-threshold N  probe failures to eject (default 1)\n"
-        "  --warm-transfer      warm each restarted replica from a live\n"
-        "                       peer's cache (cache export / import over\n"
-        "                       the wire) and verify the replayed hits\n"
+        "  --anti-entropy-ms N  gossip interval: a live peer is\n"
+        "                       pre-warmed, restarted replicas pull the\n"
+        "                       warm set from their peers themselves, and\n"
+        "                       the replayed hits are verified (default\n"
+        "                       0 = off)\n"
         "  --warm-points N      design points in the warm set (default 16)\n"
-        "  --warm-transfer-retries N    transfer RPC attempts per restart\n"
-        "                       (default 40)\n"
-        "  --warm-transfer-interval-ms N  spacing between transfer\n"
-        "                       attempts (default 250)\n"
-        "  --anti-entropy-ms N  gossip interval: restarted replicas pull\n"
-        "                       the warm set from peers themselves (the\n"
-        "                       orchestrator issues zero transfer RPCs);\n"
-        "                       0 = orchestrator-driven (default 0,\n"
-        "                       requires --warm-transfer)\n"
         "  (farm overrides: --lambda 20, --nu 10, --requests 500,\n"
         "   --call-timeout 5 -- slow services keep scheduler overhead\n"
         "   negligible against the modeled service time)\n"
@@ -374,14 +367,9 @@ int run_farm(const upa::cli::Args& args) {
   const std::string out = args.get("out", "BENCH_farm.json");
   const std::string trace_csv = args.get("trace-csv", "");
   config.trace = args.has("trace") || !trace_csv.empty();
-  config.warm_transfer = args.has("warm-transfer");
-  config.warm_points = args.get_size("warm-points", 16);
-  config.warm_transfer_retries =
-      static_cast<int>(args.get_size("warm-transfer-retries", 40));
-  config.warm_transfer_interval_ms =
-      static_cast<int>(args.get_size("warm-transfer-interval-ms", 250));
   config.anti_entropy_ms =
       static_cast<int>(args.get_size("anti-entropy-ms", 0));
+  config.warm_points = args.get_size("warm-points", 16);
 
   // The kill schedule goes through an inject::FaultPlan -- the same
   // scripted-outage machinery the simulation campaigns replay -- with
@@ -408,21 +396,15 @@ int run_farm(const upa::cli::Args& args) {
                                           r.trace_accounting_error + "]")
               << "\n";
   }
-  if (config.warm_transfer) {
-    std::cout << "warm transfer: peer=" << r.warm_peer
+  if (config.anti_entropy_ms > 0) {
+    std::cout << "anti-entropy: peer=" << r.warm_peer
               << " points=" << r.warm_points_computed
-              << " exported=" << r.warm_export_records
-              << " imported=" << r.warm_import_records
+              << " rounds=" << r.anti_entropy_rounds
+              << " pulled=" << r.anti_entropy_records_pulled
               << " warmed_hits=" << r.warmed_hits
-              << (config.anti_entropy_ms > 0
-                      ? " anti_entropy_pulled=" +
-                            std::to_string(r.anti_entropy_records_pulled) +
-                            " orchestrator_transfers=" +
-                            std::to_string(r.orchestrator_transfers)
-                      : std::string())
-              << (r.warm_transfer_ok
+              << (r.anti_entropy_ok
                       ? " [warm]"
-                      : " [COLD: " + r.warm_transfer_error + "]")
+                      : " [COLD: " + r.anti_entropy_error + "]")
               << "\n";
   }
   std::cout << "farm: replicas=" << config.replicas
@@ -482,18 +464,12 @@ int run_farm(const upa::cli::Args& args) {
        {"front_retries_exhausted",
         static_cast<double>(r.front.retries_exhausted)},
        {"wall_seconds", r.loss.wall_seconds},
-       {"warm_transfer", config.warm_transfer ? 1.0 : 0.0},
        {"warm_peer", static_cast<double>(r.warm_peer)},
-       {"warm_export_records", static_cast<double>(r.warm_export_records)},
-       {"warm_import_records", static_cast<double>(r.warm_import_records)},
        {"warmed_hits", static_cast<double>(r.warmed_hits)},
-       {"warm_transfer_ok", r.warm_transfer_ok ? 1.0 : 0.0},
        {"anti_entropy_ms", static_cast<double>(config.anti_entropy_ms)},
        {"anti_entropy_rounds", static_cast<double>(r.anti_entropy_rounds)},
        {"anti_entropy_records_pulled",
         static_cast<double>(r.anti_entropy_records_pulled)},
-       {"orchestrator_transfers",
-        static_cast<double>(r.orchestrator_transfers)},
        {"anti_entropy_ok", r.anti_entropy_ok ? 1.0 : 0.0}});
   std::cout << "wrote " << out << std::endl;
 
@@ -511,20 +487,14 @@ int run_farm(const upa::cli::Args& args) {
               << r.trace_accounting_error << "\n";
     return 1;
   }
-  // Warm-transfer runs gate on the restart actually replaying imported
-  // results: zero warmed hits means the restart came back cold.
-  if (config.warm_transfer && !r.warm_transfer_ok) {
-    std::cerr << "farm: warm transfer failed: " << r.warm_transfer_error
-              << "\n";
-    return 1;
-  }
-  // Anti-entropy runs additionally gate on the gossip path doing the
-  // warming: nonzero pulled records, zero orchestrator transfer RPCs.
+  // Anti-entropy runs gate on the gossip path doing the warming: the
+  // restarted replica pulled records and replayed the warm points as
+  // hits. Zero warmed hits means the restart came back cold.
   if (config.anti_entropy_ms > 0 && !r.anti_entropy_ok) {
-    std::cerr << "farm: anti-entropy convergence failed: pulled="
-              << r.anti_entropy_records_pulled << " orchestrator_transfers="
-              << r.orchestrator_transfers << " error="
-              << r.warm_transfer_error << "\n";
+    std::cerr << "farm: anti-entropy warm restart failed: pulled="
+              << r.anti_entropy_records_pulled
+              << " warmed_hits=" << r.warmed_hits
+              << " error=" << r.anti_entropy_error << "\n";
     return 1;
   }
   return r.within_tolerance ? 0 : 1;
@@ -654,9 +624,8 @@ std::vector<std::string> allowed_for_mode(const std::string& mode) {
             "replica-capacity", "policy", "retries", "lambda", "nu",
             "requests", "call-timeout", "probe-interval",
             "unhealthy-threshold", "kills", "kill-at", "kill-for",
-            "kill-every", "out", "trace", "trace-csv", "warm-transfer",
-            "warm-points", "warm-transfer-retries",
-            "warm-transfer-interval-ms", "anti-entropy-ms"});
+            "kill-every", "out", "trace", "trace-csv", "warm-points",
+            "anti-entropy-ms"});
   } else if (mode == "control") {
     extend({"scenario", "nu", "target-loss", "duration-scale",
             "max-workers", "max-capacity", "out"});
