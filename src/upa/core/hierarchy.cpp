@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "upa/common/error.hpp"
 #include "upa/common/numeric.hpp"
@@ -40,24 +41,91 @@ void ServiceCatalog::set_availability(ServiceId id, double availability) {
   availability_[id] = upa::common::clamp_probability(availability);
 }
 
+namespace {
+
+std::vector<ServiceId> sorted_unique(std::vector<ServiceId> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+/// P(every function in `functions` succeeds) under independent services.
+/// A function's success is zero whenever one of its required services is
+/// down, so the union of the required services factors out as the product
+/// of their availabilities. Only the remaining free services are
+/// enumerated, 2^|free| states with the required ones pinned up.
+double joint_success_of(const ServiceCatalog& catalog,
+                        const std::vector<const FunctionModel*>& functions) {
+  std::vector<ServiceId> required;
+  std::vector<ServiceId> involved;
+  for (const FunctionModel* f : functions) {
+    const auto& r = f->required_services();
+    const auto& i = f->involved_services();
+    required.insert(required.end(), r.begin(), r.end());
+    involved.insert(involved.end(), i.begin(), i.end());
+  }
+  required = sorted_unique(std::move(required));
+  involved = sorted_unique(std::move(involved));
+  UPA_REQUIRE(involved.empty() || involved.back() < catalog.size(),
+              "service id out of range");
+  std::vector<ServiceId> free;
+  std::set_difference(involved.begin(), involved.end(), required.begin(),
+                      required.end(), std::back_inserter(free));
+  const std::size_t m = free.size();
+  UPA_REQUIRE(m <= 20, "too many free services for exact enumeration");
+
+  double pinned = 1.0;
+  for (ServiceId s : required) pinned *= catalog.availability(s);
+  if (pinned == 0.0) return 0.0;
+
+  double total = 0.0;
+  std::vector<bool> state(catalog.size(), false);
+  for (ServiceId s : required) state[s] = true;
+  for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
+    double weight = 1.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const bool up = mask & (std::size_t{1} << i);
+      const double a = catalog.availability(free[i]);
+      weight *= up ? a : 1.0 - a;
+      state[free[i]] = up;
+    }
+    if (weight == 0.0) continue;
+    double joint = 1.0;
+    for (const FunctionModel* f : functions) {
+      joint *= f->success_given(state);
+      if (joint == 0.0) break;
+    }
+    total += weight * joint;
+  }
+  return pinned * total;
+}
+
+}  // namespace
+
 FunctionModel::FunctionModel(std::string name,
                              std::vector<ExecutionPath> paths)
     : name_(std::move(name)), paths_(std::move(paths)) {
   UPA_REQUIRE(!name_.empty(), "function name must not be empty");
   UPA_REQUIRE(!paths_.empty(), "function needs at least one execution path");
   double total = 0.0;
+  required_ = sorted_unique(paths_.front().services);
   for (const ExecutionPath& path : paths_) {
     UPA_REQUIRE(upa::common::is_probability(path.probability),
                 "path probability out of range in function " + name_);
     total += path.probability;
-    for (ServiceId s : path.services) involved_.push_back(s);
+    involved_.insert(involved_.end(), path.services.begin(),
+                     path.services.end());
+    const std::vector<ServiceId> on_path = sorted_unique(path.services);
+    std::vector<ServiceId> common;
+    std::set_intersection(required_.begin(), required_.end(),
+                          on_path.begin(), on_path.end(),
+                          std::back_inserter(common));
+    required_ = std::move(common);
   }
   UPA_REQUIRE(std::abs(total - 1.0) <= 1e-9,
               "path probabilities of function " + name_ + " sum to " +
                   std::to_string(total));
-  std::sort(involved_.begin(), involved_.end());
-  involved_.erase(std::unique(involved_.begin(), involved_.end()),
-                  involved_.end());
+  involved_ = sorted_unique(std::move(involved_));
 }
 
 FunctionModel FunctionModel::all_of(std::string name,
@@ -84,24 +152,7 @@ double FunctionModel::success_given(
 }
 
 double FunctionModel::availability(const ServiceCatalog& catalog) const {
-  // Paths may share services, so compute the expectation by conditioning
-  // on the involved services' joint state (independent services).
-  double total = 0.0;
-  const std::size_t m = involved_.size();
-  UPA_REQUIRE(m <= 20, "too many services for exact enumeration");
-  std::vector<bool> state(catalog.size(), false);
-  for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
-    double weight = 1.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const bool up = mask & (std::size_t{1} << i);
-      const double a = catalog.availability(involved_[i]);
-      weight *= up ? a : 1.0 - a;
-      state[involved_[i]] = up;
-    }
-    if (weight == 0.0) continue;
-    total += weight * success_given(state);
-  }
-  return total;
+  return joint_success_of(catalog, {this});
 }
 
 UserLevelModel::UserLevelModel(ServiceCatalog catalog,
@@ -128,38 +179,13 @@ const FunctionModel& UserLevelModel::function(std::size_t i) const {
 double UserLevelModel::joint_success(
     const std::set<std::size_t>& functions) const {
   UPA_REQUIRE(!functions.empty(), "need at least one function");
-  // Union of involved services across the invoked functions.
-  std::vector<ServiceId> involved;
+  std::vector<const FunctionModel*> invoked;
+  invoked.reserve(functions.size());
   for (std::size_t f : functions) {
     UPA_REQUIRE(f < functions_.size(), "function index out of range");
-    const auto& services = functions_[f].involved_services();
-    involved.insert(involved.end(), services.begin(), services.end());
+    invoked.push_back(&functions_[f]);
   }
-  std::sort(involved.begin(), involved.end());
-  involved.erase(std::unique(involved.begin(), involved.end()),
-                 involved.end());
-  const std::size_t m = involved.size();
-  UPA_REQUIRE(m <= 20, "too many services for exact enumeration");
-
-  double total = 0.0;
-  std::vector<bool> state(catalog_.size(), false);
-  for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
-    double weight = 1.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const bool up = mask & (std::size_t{1} << i);
-      const double a = catalog_.availability(involved[i]);
-      weight *= up ? a : 1.0 - a;
-      state[involved[i]] = up;
-    }
-    if (weight == 0.0) continue;
-    double joint = 1.0;
-    for (std::size_t f : functions) {
-      joint *= functions_[f].success_given(state);
-      if (joint == 0.0) break;
-    }
-    total += weight * joint;
-  }
-  return total;
+  return joint_success_of(catalog_, invoked);
 }
 
 double UserLevelModel::scenario_availability(

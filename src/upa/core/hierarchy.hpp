@@ -11,7 +11,9 @@
 //   user level      ->  UserLevelModel: scenario-set-weighted probability
 //                       that every function invoked in a user scenario
 //                       succeeds, with shared-service dependence handled
-//                       exactly by conditioning on service states.
+//                       exactly by conditioning on service states. Services
+//                       every path of an invoked function needs factor out
+//                       as a product; only the rest are enumerated.
 
 #include <cstddef>
 #include <set>
@@ -72,6 +74,13 @@ class FunctionModel {
     return involved_;
   }
 
+  /// Services on every execution path (sorted): the function fails
+  /// whenever one of them is down.
+  [[nodiscard]] const std::vector<ServiceId>& required_services()
+      const noexcept {
+    return required_;
+  }
+
   /// Success probability given a concrete up/down state per service
   /// (indexed by ServiceId over the whole catalog).
   [[nodiscard]] double success_given(const std::vector<bool>& service_up) const;
@@ -83,6 +92,7 @@ class FunctionModel {
   std::string name_;
   std::vector<ExecutionPath> paths_;
   std::vector<ServiceId> involved_;
+  std::vector<ServiceId> required_;
 };
 
 /// User level: functions + a scenario set over them.
@@ -104,7 +114,10 @@ class UserLevelModel {
 
   /// P(every function in `functions` succeeds): exact expectation over the
   /// joint state of the involved services (independent services; shared
-  /// services across functions handled by the conditioning).
+  /// services across functions handled by the conditioning). The union of
+  /// the functions' required services contributes the product of their
+  /// availabilities; the other involved services -- the free ones, at
+  /// most 20 -- are enumerated with the required ones pinned up.
   [[nodiscard]] double joint_success(
       const std::set<std::size_t>& functions) const;
 
