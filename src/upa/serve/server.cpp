@@ -324,6 +324,9 @@ void Server::observe_request(const RequestObservation& o) {
   if (ob == nullptr) return;
   ob->metrics.counter("serve.requests").add(1);
   ob->metrics.counter("serve.code." + std::to_string(o.code)).add(1);
+  // Spans are the --trace feature: an untraced daemon keeps no per-request
+  // record, so its memory does not grow with the requests it serves.
+  if (!config_.trace) return;
   const double end = ob->tracer.wall_now();
   const double start = end - o.latency_seconds;
   const obs::SpanId id =
@@ -331,7 +334,7 @@ void Server::observe_request(const RequestObservation& o) {
                        obs::TimeDomain::kWallSeconds);
   ob->tracer.attr(id, "code", static_cast<double>(o.code));
   ob->tracer.attr(id, "queue_wait_seconds", o.queue_wait_seconds);
-  if (config_.trace && o.sampled) {
+  if (o.sampled) {
     // Cross-process linkage + session-mining attrs, then retrospective
     // phase children. The whole batch lands under one latency_mutex_
     // hold, so a telemetry subscriber's span cursor never splits it.

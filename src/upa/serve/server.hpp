@@ -56,17 +56,18 @@ struct ServerConfig {
   /// than this for the next request line, nor for a stalled client to
   /// drain a response, before closing the connection.
   double read_timeout_seconds = 10.0;
-  /// Optional observability sink (non-owning). Records one wall-domain
-  /// `serve_request` span per request (attrs: method, code, queue-wait)
-  /// plus serve.* counters. The observer is mutex-guarded inside the
-  /// server (Tracer/MetricsRegistry are single-threaded by design).
+  /// Optional observability sink (non-owning). Counts every request in
+  /// the serve.requests and serve.code.* counters; spans are recorded
+  /// only under `trace`. The observer is mutex-guarded inside the server
+  /// (Tracer/MetricsRegistry are single-threaded by design).
   obs::Observer* obs = nullptr;
-  /// Distributed tracing mode (needs `obs`). Per sampled request the
-  /// single serve_request span grows trace-linkage attrs (trace_id,
+  /// Distributed tracing mode (needs `obs`). Records one wall-domain
+  /// `serve_request` span per request (attrs: method, code, queue-wait);
+  /// per sampled request it grows trace-linkage attrs (trace_id,
   /// parent_span, conn, seq) plus serve_phase child spans
   /// (admission_wait / queue_wait, handler, serialize). Off by default:
-  /// the hot path stays the legacy single-span recording and responses
-  /// are byte-identical to a trace-enabled server's.
+  /// the hot path then records no span, and responses are byte-identical
+  /// to a trace-enabled server's.
   bool trace = false;
   /// Label stamped on telemetry lines; empty = "upa_served:<port>".
   std::string telemetry_process;

@@ -838,8 +838,8 @@ TEST(ServeServer, StatsMethodAndObserverMetrics) {
   client.close();
   server.stop();
 
-  // The observer saw one serve_request span per request plus counters.
-  EXPECT_GE(observer.tracer.spans().size(), 2u);
+  // Untraced, the observer counts every request but keeps no span.
+  EXPECT_TRUE(observer.tracer.spans().empty());
   EXPECT_GE(observer.metrics.counter("serve.requests").value(), 2.0);
   EXPECT_GE(observer.metrics.counter("serve.code.200").value(), 2.0);
 
