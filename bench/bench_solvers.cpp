@@ -1,8 +1,12 @@
 // Kernel timings: the numerical engines under the reproduction (dense LU
 // steady state vs iterative uniformized power iteration, birth-death
 // closed form, BDD compilation, GSPN reachability, absorbing-chain
-// analysis). No paper table here -- this bench characterizes the library
-// itself.
+// analysis, the user-level conditioning kernel). No paper table here --
+// this bench characterizes the library itself.
+
+#include <array>
+#include <set>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "upa/faulttree/bdd.hpp"
@@ -14,6 +18,8 @@
 #include "upa/spn/net.hpp"
 #include "upa/spn/reachability.hpp"
 #include "upa/spn/to_ctmc.hpp"
+#include "upa/ta/model_builder.hpp"
+#include "upa/ta/user_availability.hpp"
 #include "upa/ta/user_classes.hpp"
 
 namespace {
@@ -134,6 +140,40 @@ void bm_visited_set_probability(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_visited_set_probability);
+
+/// User-level kernel over the travel agency's scenario shapes, one per
+/// argument: Home, Home+Browse, then adding Search, Book and Pay in turn.
+/// Only Home+Browse leaves services free (application and database).
+void bm_joint_success(benchmark::State& state) {
+  static const std::array<std::pair<const char*, std::set<std::size_t>>, 5>
+      kShapes = {{{"Ho", {0}},
+                  {"Ho-Br", {0, 1}},
+                  {"Ho-Br-Se", {0, 1, 2}},
+                  {"Ho-Br-Se-Bo", {0, 1, 2, 3}},
+                  {"Ho-Br-Se-Bo-Pa", {0, 1, 2, 3, 4}}}};
+  const auto& [label, functions] =
+      kShapes[static_cast<std::size_t>(state.range(0))];
+  const upa::core::UserLevelModel model = upa::ta::build_user_model(
+      upa::ta::UserClass::kA, upa::bench::paper_params(5));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.joint_success(functions));
+  }
+  state.SetLabel(label);
+}
+BENCHMARK(bm_joint_success)->DenseRange(0, 4);
+
+/// The Table 1 category breakdown a Book request pays for, class A (0)
+/// and class B (1): builds the user model and evaluates all 12 classes.
+void bm_category_breakdown(benchmark::State& state) {
+  const auto uclass =
+      state.range(0) == 0 ? upa::ta::UserClass::kA : upa::ta::UserClass::kB;
+  const auto p = upa::bench::paper_params(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(upa::ta::category_breakdown(uclass, p));
+  }
+  state.SetLabel(upa::ta::user_class_name(uclass));
+}
+BENCHMARK(bm_category_breakdown)->Arg(0)->Arg(1);
 
 }  // namespace
 

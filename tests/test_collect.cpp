@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "poll_until.hpp"
 #include "upa/common/error.hpp"
 #include "upa/dispatch/front.hpp"
 #include "upa/linalg/matrix.hpp"
@@ -518,8 +520,29 @@ TEST(CollectLive, SubscribedFarmReassemblesEverySessionRequest) {
       upa::serve::run_session_replay(sessions);
   ASSERT_GT(replay.invocations, 0u);
 
-  // Two telemetry ticks past the last request flushes every span batch.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  std::vector<std::string> expected;
+  for (const upa::serve::SessionInvocationLog& log : replay.invocation_log) {
+    expected.push_back(log.trace_id);
+  }
+  ASSERT_EQ(expected.size(), replay.invocations);
+
+  // Both processes record a request's spans before its response leaves,
+  // so every one reaches the collector within a telemetry tick or two.
+  const auto every_request_streamed = [&] {
+    std::set<std::string> served;
+    std::set<std::string> dispatched;
+    for (const upa::obs::CollectedSpan& span : collector.spans()) {
+      if (span.level == "serve_request") served.insert(span.text("trace_id"));
+      if (span.level == "dispatch_request") {
+        dispatched.insert(span.text("trace_id"));
+      }
+    }
+    return std::all_of(expected.begin(), expected.end(),
+                       [&](const std::string& id) {
+                         return served.contains(id) && dispatched.contains(id);
+                       });
+  };
+  EXPECT_TRUE(upa::testing::poll_until(every_request_streamed));
   server_sub.shutdown_both();
   front_sub.shutdown_both();
   server_reader.join();
@@ -533,11 +556,6 @@ TEST(CollectLive, SubscribedFarmReassemblesEverySessionRequest) {
 
   // The acceptance gate: every request the loadgen issued reassembles
   // into a complete cross-process trace.
-  std::vector<std::string> expected;
-  for (const upa::serve::SessionInvocationLog& log : replay.invocation_log) {
-    expected.push_back(log.trace_id);
-  }
-  ASSERT_EQ(expected.size(), replay.invocations);
   EXPECT_DOUBLE_EQ(TraceCollector::accounted_fraction(report, expected),
                    1.0);
 

@@ -416,8 +416,11 @@ TEST(Reconfigure, CapacityBelowOccupancyGatesAdmissionOnly) {
   EXPECT_EQ(result.capacity, 2u);
   EXPECT_EQ(result.previous_capacity, 8u);
 
-  // The four admitted connections are NOT evicted...
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The four admitted connections are NOT evicted: all four are still in
+  // the system, mid-way through their 0.5 s sleeps...
+  const auto after = server.stats();
+  EXPECT_EQ(after.in_system, 4u);
+  EXPECT_EQ(after.completed, 0u);
   EXPECT_EQ(completed.load(), 0);
   // ...but a new connection sees the new bound immediately.
   Client rejected;
@@ -543,7 +546,10 @@ TEST(Reconfigure, FlipFlopUnderContinuousLoadLosesNothing) {
 
   for (int flip = 0; flip < 12; ++flip) {
     (void)server.reconfigure((flip % 2 == 0) ? 4 : 1, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Every flip lands under load: wait for a request served after it.
+    const std::uint64_t at_flip = server.stats().requests;
+    EXPECT_TRUE(
+        poll_until([&] { return server.stats().requests > at_flip; }));
   }
   stop.store(true);
   for (auto& t : clients) t.join();
