@@ -252,18 +252,15 @@ std::size_t EvalCache::size() const {
 
 void EvalCache::publish_metrics(obs::MetricsRegistry& metrics) const {
   const CacheStats total = stats();
-  metrics.gauge("cache.hits").set(static_cast<double>(total.hits));
-  metrics.gauge("cache.disk_hits")
-      .set(static_cast<double>(total.disk_hits));
-  metrics.gauge("cache.misses").set(static_cast<double>(total.misses));
-  metrics.gauge("cache.inserts").set(static_cast<double>(total.inserts));
-  metrics.gauge("cache.evictions").set(static_cast<double>(total.evictions));
+  metrics.counter("cache.hits").add(total.hits);
+  metrics.counter("cache.disk_hits").add(total.disk_hits);
+  metrics.counter("cache.misses").add(total.misses);
+  metrics.counter("cache.inserts").add(total.inserts);
+  metrics.counter("cache.evictions").add(total.evictions);
   metrics.gauge("cache.hit_rate").set(total.hit_rate());
   for (const auto& [solver, s] : per_solver_stats()) {
-    metrics.gauge("cache." + solver + ".hits")
-        .set(static_cast<double>(s.hits));
-    metrics.gauge("cache." + solver + ".misses")
-        .set(static_cast<double>(s.misses));
+    metrics.counter("cache." + solver + ".hits").add(s.hits);
+    metrics.counter("cache." + solver + ".misses").add(s.misses);
     metrics.gauge("cache." + solver + ".hit_rate").set(s.hit_rate());
   }
 }

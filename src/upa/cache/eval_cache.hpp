@@ -293,9 +293,11 @@ class EvalCache {
   /// Number of completed entries currently stored.
   [[nodiscard]] std::size_t size() const;
 
-  /// Snapshots the counters into `metrics` as gauges: cache.hits,
-  /// cache.misses, cache.inserts, cache.evictions, cache.hit_rate, plus
-  /// per-solver cache.<solver>.hits / .misses / .hit_rate.
+  /// Snapshots the totals into `metrics` as counters (cache.hits,
+  /// cache.disk_hits, cache.misses, cache.inserts, cache.evictions, and
+  /// per-solver cache.<solver>.hits / .misses) and the hit rates as
+  /// gauges (cache.hit_rate, cache.<solver>.hit_rate). Not on a daemon's
+  /// telemetry stream yet.
   void publish_metrics(obs::MetricsRegistry& metrics) const;
 
   /// Drops every entry and zeroes all statistics. A long-lived server

@@ -16,12 +16,13 @@ using serve::Json;
 
 namespace {
 
-/// Pulls one serve.* gauge out of a metrics tick; throws ModelError on
-/// a tick missing it (an incompatible server).
-double gauge_value(const Json& gauges, const char* name) {
-  const Json* v = gauges.find(name);
+/// Pulls one number out of a metrics tick section (`counters`, or one
+/// histogram object); throws ModelError on a tick missing it (an
+/// incompatible server).
+double tick_number(const Json& section, const char* name) {
+  const Json* v = section.find(name);
   UPA_REQUIRE(v != nullptr && v->is_number(),
-              std::string("telemetry tick lacks gauge '") + name + "'");
+              std::string("telemetry tick lacks '") + name + "'");
   return v->as_number();
 }
 
@@ -146,16 +147,21 @@ void Controller::run() {
 }
 
 void Controller::handle_metrics_line(const Json& line) {
-  const Json* gauges = line.find("gauges");
-  UPA_REQUIRE(gauges != nullptr && gauges->is_object(),
-              "telemetry tick lacks gauges");
+  const Json* counters = line.find("counters");
+  const Json* histograms = line.find("histograms");
+  const Json* handler = histograms != nullptr
+                            ? histograms->find("serve.handler_seconds")
+                            : nullptr;
+  UPA_REQUIRE(counters != nullptr && counters->is_object() &&
+                  handler != nullptr && handler->is_object(),
+              "telemetry tick lacks counters or serve.handler_seconds");
   CounterSample sample;
   sample.t = now_seconds();
-  const double accepted = gauge_value(*gauges, "serve.accepted");
-  sample.rejected = gauge_value(*gauges, "serve.rejected");
+  const double accepted = tick_number(*counters, "serve.accepted");
+  sample.rejected = tick_number(*counters, "serve.rejected");
   sample.arrivals = accepted + sample.rejected;
-  sample.handled = gauge_value(*gauges, "serve.handled_requests");
-  sample.busy_seconds = gauge_value(*gauges, "serve.busy_seconds");
+  sample.handled = tick_number(*handler, "count");
+  sample.busy_seconds = tick_number(*handler, "sum");
   estimator_.observe(sample);
   const RateEstimate estimate = estimator_.estimate();
   const PolicyDecision decision = policy_->decide(estimate, sample.t);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "upa/common/error.hpp"
-#include "upa/serve/json.hpp"
 
 namespace upa::dispatch {
 
@@ -46,18 +45,21 @@ std::uint64_t fnv1a64(const std::string& text) {
 
 std::string affinity_key(const std::string& request_line) {
   try {
-    const serve::Json request = serve::parse_json(request_line);
-    const serve::Json* method = request.find("method");
-    if (method == nullptr || !method->is_string()) return request_line;
-    std::string key = method->as_string();
-    if (const serve::Json* params = request.find("params");
-        params != nullptr) {
-      key += "|" + params->dump();
-    }
-    return key;
+    return affinity_key(serve::parse_json(request_line), request_line);
   } catch (const std::exception&) {
     return request_line;  // malformed lines still balance deterministically
   }
+}
+
+std::string affinity_key(const serve::Json& request,
+                         const std::string& request_line) {
+  const serve::Json* method = request.find("method");
+  if (method == nullptr || !method->is_string()) return request_line;
+  std::string key = method->as_string();
+  if (const serve::Json* params = request.find("params"); params != nullptr) {
+    key += "|" + params->dump();
+  }
+  return key;
 }
 
 Balancer::Balancer(const UpstreamPool& pool, BalancePolicy policy,

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "upa/dispatch/upstream.hpp"
+#include "upa/serve/json.hpp"
 
 namespace upa::dispatch {
 
@@ -41,6 +42,9 @@ enum class BalancePolicy { kRoundRobin, kLeastOutstanding, kConsistentHash };
 /// on). Unparseable lines hash as the whole line, so even malformed
 /// requests balance deterministically.
 [[nodiscard]] std::string affinity_key(const std::string& request_line);
+/// The same key from `request`, already parsed from `request_line`.
+[[nodiscard]] std::string affinity_key(const serve::Json& request,
+                                       const std::string& request_line);
 
 /// Thread-safe picker. Construction builds the consistent-hash ring
 /// (virtual nodes per upstream); the pool reference must outlive the

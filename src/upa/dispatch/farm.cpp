@@ -18,7 +18,7 @@
 
 #include "upa/common/error.hpp"
 #include "upa/core/web_farm.hpp"
-#include "upa/obs/observer.hpp"
+#include "upa/obs/trace.hpp"
 #include "upa/queueing/mmck.hpp"
 #include "upa/serve/client.hpp"
 #include "upa/serve/json.hpp"
@@ -402,9 +402,6 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
     }
   }
 
-  // Must outlive the front: the front records spans into it.
-  obs::Observer observer;
-
   FrontConfig front_config;
   front_config.upstreams = farm.addresses();
   front_config.policy = config.policy;
@@ -412,10 +409,7 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
   front_config.health = config.health;
   front_config.upstream_call_timeout_seconds =
       std::max(config.call_timeout_seconds, 1.0);
-  if (config.trace) {
-    front_config.trace = true;
-    front_config.obs = &observer;
-  }
+  front_config.trace = config.trace;
   Front front(std::move(front_config));
   front.start();
 
@@ -523,7 +517,8 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
   farm.stop_all();
 
   if (config.trace) {
-    result.trace_dropped_spans = observer.tracer.dropped();
+    result.trace_dropped_spans = front.dropped_spans();
+    const std::vector<obs::Span> spans = front.spans();
     const auto text_attr = [](const obs::Span& span,
                               const std::string& key) -> std::string {
       for (const obs::SpanAttribute& a : span.attributes) {
@@ -540,7 +535,7 @@ FarmExperimentResult run_farm_experiment(const FarmExperimentConfig& config) {
     };
     std::map<obs::SpanId, std::size_t> children;
     std::vector<const obs::Span*> roots;
-    for (const obs::Span& span : observer.tracer.spans()) {
+    for (const obs::Span& span : spans) {
       if (span.level == obs::SpanLevel::kDispatchRequest) {
         roots.push_back(&span);
       } else if (span.level == obs::SpanLevel::kDispatchAttempt) {

@@ -33,6 +33,15 @@ double seconds_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// The one parse of a request line; nullopt when it is not JSON.
+std::optional<serve::Json> try_parse(const std::string& line) {
+  try {
+    return serve::parse_json(line);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 Front::Front(FrontConfig config)
@@ -58,7 +67,7 @@ Front::Front(FrontConfig config)
                   [this](obs::MetricsRegistry& metrics) {
                     publish_metrics(metrics);
                   },
-              .obs = config_.obs,
+              .tracer = config_.trace ? &tracer_ : nullptr,
               .span_mutex = &latency_mutex_},
           [this](const std::string& line,
                  const serve::RequestContext& context) {
@@ -145,37 +154,44 @@ std::vector<UpstreamSnapshot> Front::upstreams() const {
 
 void Front::publish_metrics(obs::MetricsRegistry& metrics) const {
   const FrontStats s = stats();
-  metrics.gauge("dispatch.accepted").set(static_cast<double>(s.accepted));
-  metrics.gauge("dispatch.rejected").set(static_cast<double>(s.rejected));
-  metrics.gauge("dispatch.requests").set(static_cast<double>(s.requests));
-  metrics.gauge("dispatch.forwarded_ok")
-      .set(static_cast<double>(s.forwarded_ok));
-  metrics.gauge("dispatch.forwarded_rejected")
-      .set(static_cast<double>(s.forwarded_rejected));
-  metrics.gauge("dispatch.forwarded_deadline")
-      .set(static_cast<double>(s.forwarded_deadline));
-  metrics.gauge("dispatch.forwarded_error")
-      .set(static_cast<double>(s.forwarded_error));
-  metrics.gauge("dispatch.forwarded_transport")
-      .set(static_cast<double>(s.forwarded_transport));
-  metrics.gauge("dispatch.retries").set(static_cast<double>(s.retries));
-  metrics.gauge("dispatch.failovers").set(static_cast<double>(s.failovers));
-  metrics.gauge("dispatch.retries_exhausted")
-      .set(static_cast<double>(s.retries_exhausted));
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"accepted", s.accepted},
+      {"rejected", s.rejected},
+      {"completed", s.completed},
+      {"requests", s.requests},
+      {"forwarded_ok", s.forwarded_ok},
+      {"forwarded_rejected", s.forwarded_rejected},
+      {"forwarded_deadline", s.forwarded_deadline},
+      {"forwarded_error", s.forwarded_error},
+      {"forwarded_transport", s.forwarded_transport},
+      {"retries", s.retries},
+      {"failovers", s.failovers},
+      {"retries_exhausted", s.retries_exhausted},
+      {"stats_served", s.stats_served}};
+  for (const auto& [name, value] : totals) {
+    metrics.counter(std::string("dispatch.") + name).add(value);
+  }
+  metrics.gauge("dispatch.in_system").set(static_cast<double>(s.in_system));
+  metrics.gauge("dispatch.max_in_system")
+      .set(static_cast<double>(s.max_in_system));
   for (const UpstreamSnapshot& u : pool_.snapshot()) {
-    const std::string prefix = "dispatch.upstream." + u.address.label();
-    metrics.gauge(prefix + ".healthy").set(u.healthy ? 1.0 : 0.0);
-    metrics.gauge(prefix + ".attempts")
-        .set(static_cast<double>(u.attempts));
-    metrics.gauge(prefix + ".ok").set(static_cast<double>(u.ok));
-    metrics.gauge(prefix + ".rejected")
-        .set(static_cast<double>(u.rejected));
-    metrics.gauge(prefix + ".transport")
-        .set(static_cast<double>(u.transport));
-    metrics.gauge(prefix + ".ejections")
-        .set(static_cast<double>(u.ejections));
-    metrics.gauge(prefix + ".readmissions")
-        .set(static_cast<double>(u.readmissions));
+    const std::string prefix = "dispatch.upstream." + u.address.label() + ".";
+    metrics.gauge(prefix + "healthy").set(u.healthy ? 1.0 : 0.0);
+    metrics.gauge(prefix + "outstanding")
+        .set(static_cast<double>(u.outstanding));
+    const std::pair<const char*, std::uint64_t> upstream_totals[] = {
+        {"attempts", u.attempts},
+        {"ok", u.ok},
+        {"rejected", u.rejected},
+        {"deadline", u.deadline},
+        {"errors", u.errors},
+        {"transport", u.transport},
+        {"probe_failures", u.probe_failures},
+        {"ejections", u.ejections},
+        {"readmissions", u.readmissions}};
+    for (const auto& [name, value] : upstream_totals) {
+      metrics.counter(prefix + name).add(value);
+    }
   }
   std::lock_guard<std::mutex> lock(latency_mutex_);
   for (std::size_t i = 0; i < latency_by_outcome_.size(); ++i) {
@@ -192,6 +208,16 @@ void Front::publish_metrics(obs::MetricsRegistry& metrics) const {
     metrics.histogram(name, latency_by_upstream_[i].upper_bounds())
         .merge_from(latency_by_upstream_[i]);
   }
+}
+
+std::vector<obs::Span> Front::spans() const {
+  std::lock_guard<std::mutex> lock(latency_mutex_);
+  return tracer_.spans();
+}
+
+std::uint64_t Front::dropped_spans() const {
+  std::lock_guard<std::mutex> lock(latency_mutex_);
+  return tracer_.dropped();
 }
 
 ForwardAttempt Front::attempt_once(std::size_t index,
@@ -221,13 +247,6 @@ ForwardAttempt Front::attempt_once(std::size_t index,
     latency_by_outcome_[static_cast<std::size_t>(attempt.outcome)].record(
         latency);
     latency_by_upstream_[index].record(latency);
-    if (config_.obs != nullptr) {
-      config_.obs->metrics.counter("dispatch.attempts").add(1);
-      config_.obs->metrics
-          .counter("dispatch.attempt." +
-                   attempt_outcome_name(attempt.outcome))
-          .add(1);
-    }
   }
   return attempt;
 }
@@ -247,14 +266,13 @@ void Front::backoff_sleep(std::size_t retry_number) {
 }
 
 std::string Front::exhausted_envelope(
-    const std::string& request_line,
+    const std::optional<serve::Json>& request,
     const std::vector<ForwardAttempt>& attempts) const {
+  // An unparseable line keeps a null id, like the upstreams' own
+  // unparseable-line envelopes.
   serve::Json id;
-  try {
-    const serve::Json request = serve::parse_json(request_line);
-    if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
-  } catch (const std::exception&) {
-    // id stays null, like the upstreams' own unparseable-line envelopes
+  if (request) {
+    if (const serve::Json* i = request->find("id"); i != nullptr) id = *i;
   }
   serve::Json trail = serve::Json::array();
   for (const ForwardAttempt& a : attempts) {
@@ -276,12 +294,13 @@ std::string Front::exhausted_envelope(
 }
 
 ForwardResult Front::forward_line(const std::string& request_line) {
-  return forward_line_traced(request_line, 0, 0);
+  return forward_line_traced(request_line, try_parse(request_line), 0, 0);
 }
 
-ForwardResult Front::forward_line_traced(const std::string& request_line,
-                                         std::uint64_t conn,
-                                         std::uint64_t seq) {
+ForwardResult Front::forward_line_traced(
+    const std::string& request_line,
+    const std::optional<serve::Json>& request, std::uint64_t conn,
+    std::uint64_t seq) {
   const Clock::time_point request_begin = Clock::now();
 
   // Trace setup. Balancer affinity and the exhausted envelope always use
@@ -292,42 +311,36 @@ ForwardResult Front::forward_line_traced(const std::string& request_line,
   bool record = false;
   std::string method = "?";
   serve::TraceContext context;
-  serve::Json parsed;
-  if (config_.trace && config_.obs != nullptr) {
-    bool have_parsed = false;
-    try {
-      parsed = serve::parse_json(request_line);
-      have_parsed = parsed.is_object();
-    } catch (const std::exception&) {
-      have_parsed = false;
+  if (config_.trace && request && request->is_object()) {
+    if (const serve::Json* m = request->find("method");
+        m != nullptr && m->is_string()) {
+      method = m->as_string();
     }
-    if (have_parsed) {
-      if (const serve::Json* m = parsed.find("method");
-          m != nullptr && m->is_string()) {
-        method = m->as_string();
+    try {
+      if (const std::optional<serve::TraceContext> incoming =
+              serve::parse_trace_context(*request)) {
+        context = *incoming;  // forward the client's trace decision
+        record = context.sampled;
+      } else {
+        context.trace_id = serve::make_trace_id(
+            trace_origin_base_ + origin_serial_.fetch_add(1) + 1);
+        context.span_id = 0;
+        context.sampled = true;
+        record = true;
       }
-      try {
-        if (const std::optional<serve::TraceContext> incoming =
-                serve::parse_trace_context(parsed)) {
-          context = *incoming;  // forward the client's trace decision
-          record = context.sampled;
-        } else {
-          context.trace_id = serve::make_trace_id(
-              trace_origin_base_ + origin_serial_.fetch_add(1) + 1);
-          context.span_id = 0;
-          context.sampled = true;
-          record = true;
-        }
-      } catch (const common::ModelError&) {
-        record = false;
-      }
+    } catch (const common::ModelError&) {
+      record = false;
     }
   }
 
   ForwardResult out;
   std::vector<TracedAttempt> traced;
-  const std::vector<std::size_t> order =
-      balancer_.pick(affinity_key(request_line));
+  // Only consistent-hash reads the key; the others skip building it.
+  std::string key;
+  if (balancer_.policy() == BalancePolicy::kConsistentHash) {
+    key = request ? affinity_key(*request, request_line) : request_line;
+  }
+  const std::vector<std::size_t> order = balancer_.pick(key);
   const std::size_t budget = config_.retry.max_attempts;
 
   bool answered = false;
@@ -353,7 +366,7 @@ ForwardResult Front::forward_line_traced(const std::string& request_line,
       // that lands on another replica stays distinguishable.
       span.ref = span_ref_.fetch_add(1);
       attempt_line = serve::with_trace_context(
-          parsed,
+          *request,
           serve::TraceContext{context.trace_id, span.ref, true});
     }
     std::string response;
@@ -377,7 +390,7 @@ ForwardResult Front::forward_line_traced(const std::string& request_line,
   if (!answered) {
     out.exhausted = true;
     out.final_outcome = out.attempts.back().outcome;
-    out.response_line = exhausted_envelope(request_line, out.attempts);
+    out.response_line = exhausted_envelope(request, out.attempts);
     retries_exhausted_.fetch_add(1);
   }
   if (record) {
@@ -393,8 +406,6 @@ void Front::record_request_trace(const std::string& method,
                                  const std::vector<TracedAttempt>& attempts,
                                  Clock::time_point request_begin,
                                  std::uint64_t conn, std::uint64_t seq) {
-  obs::Observer* ob = config_.obs;
-  if (ob == nullptr) return;
   const AttemptOutcome client_visible =
       result.exhausted ? AttemptOutcome::kRejected : result.final_outcome;
 
@@ -405,44 +416,37 @@ void Front::record_request_trace(const std::string& method,
   // timeline retrospectively, anchored at "now".
   std::lock_guard<std::mutex> lock(latency_mutex_);
   const Clock::time_point now = Clock::now();
-  const double wall_now = ob->tracer.wall_now();
+  const double wall_now = tracer_.wall_now();
   const auto wall_at = [&](Clock::time_point tp) {
     return wall_now - seconds_between(tp, now);
   };
 
-  const obs::SpanId root = ob->tracer.begin(
+  const obs::SpanId root = tracer_.begin(
       obs::SpanLevel::kDispatchRequest, method, wall_at(request_begin),
       obs::TimeDomain::kWallSeconds);
-  ob->tracer.attr(root, "trace_id", context.trace_id);
-  ob->tracer.attr(root, "parent_span",
-                  static_cast<double>(context.span_id));
-  ob->tracer.attr(root, "conn", static_cast<double>(conn));
-  ob->tracer.attr(root, "seq", static_cast<double>(seq));
-  ob->tracer.attr(root, "outcome", attempt_outcome_name(client_visible));
-  ob->tracer.attr(root, "attempts",
-                  static_cast<double>(attempts.size()));
-  if (result.exhausted) ob->tracer.attr(root, "exhausted", 1.0);
+  tracer_.attr(root, "trace_id", context.trace_id);
+  tracer_.attr(root, "parent_span", static_cast<double>(context.span_id));
+  tracer_.attr(root, "conn", static_cast<double>(conn));
+  tracer_.attr(root, "seq", static_cast<double>(seq));
+  tracer_.attr(root, "outcome", attempt_outcome_name(client_visible));
+  tracer_.attr(root, "attempts", static_cast<double>(attempts.size()));
+  if (result.exhausted) tracer_.attr(root, "exhausted", 1.0);
   for (const TracedAttempt& a : attempts) {
-    const obs::SpanId child = ob->tracer.begin(
+    const obs::SpanId child = tracer_.begin(
         obs::SpanLevel::kDispatchAttempt, "attempt", wall_at(a.begin),
         obs::TimeDomain::kWallSeconds, root);
-    ob->tracer.attr(child, "ref", static_cast<double>(a.ref));
-    ob->tracer.attr(child, "upstream",
-                    pool_.address(a.upstream_index).label());
-    ob->tracer.attr(child, "outcome", attempt_outcome_name(a.outcome));
-    ob->tracer.end(child, wall_at(a.end));
+    tracer_.attr(child, "ref", static_cast<double>(a.ref));
+    tracer_.attr(child, "upstream", pool_.address(a.upstream_index).label());
+    tracer_.attr(child, "outcome", attempt_outcome_name(a.outcome));
+    tracer_.end(child, wall_at(a.end));
   }
-  ob->tracer.end(root, wall_now);
+  tracer_.end(root, wall_now);
 }
 
-std::string Front::dispatch_stats_line(const std::string& line) {
+std::string Front::dispatch_stats_line(const serve::Json& request) {
   stats_served_.fetch_add(1);
   serve::Json id;
-  try {
-    const serve::Json request = serve::parse_json(line);
-    if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
-  } catch (const std::exception&) {
-  }
+  if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
   const FrontStats s = stats();
   serve::Json result = serve::Json::object();
   result.set("policy", serve::Json(balance_policy_name(config_.policy)));
@@ -493,23 +497,20 @@ std::string Front::dispatch_stats_line(const std::string& line) {
 std::string Front::respond_line(const std::string& line,
                                 const serve::RequestContext& context) {
   requests_.fetch_add(1);
-  bool is_dispatch_stats = false;
-  try {
-    const serve::Json request = serve::parse_json(line);
-    if (const serve::Json* m = request.find("method");
+  // The line's one parse. Unparseable lines are forwarded anyway: the
+  // upstream produces the canonical 400 envelope, keeping responses
+  // byte-identical to a direct connection.
+  const std::optional<serve::Json> request = try_parse(line);
+  if (request) {
+    if (const serve::Json* m = request->find("method");
         m != nullptr && m->is_string() &&
         m->as_string() == "dispatch_stats") {
-      is_dispatch_stats = true;
+      return dispatch_stats_line(*request);
     }
-  } catch (const std::exception&) {
-    // Unparseable lines are forwarded anyway: the upstream produces the
-    // canonical 400 envelope, keeping responses byte-identical to a
-    // direct connection.
   }
-  if (is_dispatch_stats) return dispatch_stats_line(line);
 
   const ForwardResult fr =
-      forward_line_traced(line, context.conn, context.seq);
+      forward_line_traced(line, request, context.conn, context.seq);
   // Counters classify the response the client actually got: a spent
   // budget surfaces as the 503 retries_exhausted envelope, so it counts
   // as a rejection regardless of how the last attempt died.

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,7 @@
 #include "upa/dispatch/health.hpp"
 #include "upa/dispatch/upstream.hpp"
 #include "upa/obs/metrics.hpp"
-#include "upa/obs/observer.hpp"
+#include "upa/obs/trace.hpp"
 #include "upa/serve/connection_server.hpp"
 #include "upa/serve/protocol.hpp"
 #include "upa/sim/rng.hpp"
@@ -82,15 +83,16 @@ struct FrontConfig {
   double upstream_call_timeout_seconds = 10.0;
   HealthConfig health;
   RetryConfig retry;
-  /// Optional observability sink (non-owning, mutex-guarded inside).
-  obs::Observer* obs = nullptr;
-  /// Distributed tracing mode (needs `obs`). Per sampled request the
-  /// front records one dispatch_request root span plus one
-  /// dispatch_attempt child per forwarding attempt (attrs: ref,
-  /// upstream, outcome), and rewrites each attempt's request line with
-  /// a trace context -- adopting an incoming one or originating a fresh
-  /// trace_id -- so upstream serve_request spans parent on the attempt.
-  /// Off by default: forwarding stays verbatim, byte for byte.
+  /// Distributed tracing mode, the only span switch. Per sampled request
+  /// the front records, into its own tracer (read it back via spans()),
+  /// one dispatch_request root span plus one dispatch_attempt child per
+  /// forwarding attempt (attrs: ref, upstream, outcome), and rewrites
+  /// each attempt's request line with a trace context -- adopting an
+  /// incoming one or originating a fresh trace_id -- so upstream
+  /// serve_request spans parent on the attempt. Off by default:
+  /// forwarding stays verbatim, byte for byte. Metrics do not depend on
+  /// it: the per-tick snapshot (publish_metrics; docs/modeling-guide.md,
+  /// "Telemetry stream schema") is always streamed.
   bool trace = false;
   /// Label stamped on telemetry lines; empty = "upa_dispatch:<port>".
   std::string telemetry_process;
@@ -167,11 +169,18 @@ class Front {
   /// and returns the response plus the attempt trail. Thread-safe.
   [[nodiscard]] ForwardResult forward_line(const std::string& request_line);
 
-  /// Snapshots counters into `metrics` as dispatch.* gauges, per-upstream
-  /// dispatch.upstream.<host:port>.* gauges, and merges the per-outcome
-  /// attempt-latency histograms. Intended for a fresh registry per
-  /// snapshot.
+  /// The one metrics path, streamed every `subscribe` tick: front totals
+  /// as dispatch.* counters, per-upstream dispatch.upstream.<host:port>.*
+  /// counters (outstanding and healthy are gauges), and the per-outcome
+  /// and per-upstream attempt-latency histograms. docs/modeling-guide.md
+  /// ("Telemetry stream schema") lists every name. Intended for a fresh
+  /// registry per snapshot.
   void publish_metrics(obs::MetricsRegistry& metrics) const;
+
+  /// Copy of the recorded spans (empty unless `trace`) and the count
+  /// the tracer's cap dropped. Thread-safe.
+  [[nodiscard]] std::vector<obs::Span> spans() const;
+  [[nodiscard]] std::uint64_t dropped_spans() const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -193,9 +202,12 @@ class Front {
   /// counters (exactly once per request).
   [[nodiscard]] std::string respond_line(
       const std::string& line, const serve::RequestContext& context);
-  [[nodiscard]] std::string dispatch_stats_line(const std::string& line);
+  [[nodiscard]] std::string dispatch_stats_line(const serve::Json& request);
+  /// The retry layer. `request` is the line parsed once by the caller,
+  /// empty when it is not valid JSON (still forwarded verbatim).
   [[nodiscard]] ForwardResult forward_line_traced(
-      const std::string& request_line, std::uint64_t conn,
+      const std::string& request_line,
+      const std::optional<serve::Json>& request, std::uint64_t conn,
       std::uint64_t seq);
   /// One attempt against one upstream; records pool counters and the
   /// per-outcome and per-upstream latency histograms.
@@ -204,7 +216,7 @@ class Front {
                                             std::string& response_out);
   void backoff_sleep(std::size_t retry_number);
   [[nodiscard]] std::string exhausted_envelope(
-      const std::string& request_line,
+      const std::optional<serve::Json>& request,
       const std::vector<ForwardAttempt>& attempts) const;
   /// Records the dispatch_request root + per-attempt child spans as one
   /// complete batch under latency_mutex_, the mutex telemetry
@@ -245,10 +257,11 @@ class Front {
   std::uint64_t trace_origin_base_ = 0;
 
   // latency_mutex_ guards latency_by_outcome_, latency_by_upstream_,
-  // and obs; traced span batches land under one hold.
+  // and tracer_; traced span batches land under one hold.
   mutable std::mutex latency_mutex_;
   std::vector<obs::Histogram> latency_by_outcome_;  // indexed by outcome
   std::vector<obs::Histogram> latency_by_upstream_; // indexed by upstream
+  obs::Tracer tracer_;
 
   // Last member: destroyed first, so no worker outlives the state above.
   serve::ConnectionServer connections_;

@@ -81,9 +81,10 @@ ConnectionServer::ConnectionServer(ConnectionServerConfig config,
                                    RequestHandler handler)
     : config_(std::move(config)), handler_(std::move(handler)) {
   UPA_REQUIRE(handler_ && config_.reject_message &&
-                  (config_.obs == nullptr || config_.span_mutex != nullptr),
+                  (config_.tracer == nullptr ||
+                   config_.span_mutex != nullptr),
               "ConnectionServer needs a handler, a reject message, and a "
-              "span mutex when an observer is set");
+              "span mutex when a tracer is set");
   workers_target_ = config_.workers;
   capacity_limit_ = config_.capacity;
   reject_line_ = envelope_line(Json(), ErrorCode::kQueueFull,
@@ -158,16 +159,16 @@ void ConnectionServer::start() {
   telemetry.fill_metrics = config_.fill_metrics;
   telemetry.copy_spans = [this](std::size_t& cursor) {
     std::vector<obs::Span> out;
-    if (config_.obs == nullptr) return out;
+    if (config_.tracer == nullptr) return out;
     std::lock_guard<std::mutex> lock(*config_.span_mutex);
-    const std::vector<obs::Span>& spans = config_.obs->tracer.spans();
+    const std::vector<obs::Span>& spans = config_.tracer->spans();
     for (; cursor < spans.size(); ++cursor) out.push_back(spans[cursor]);
     return out;
   };
   telemetry.dropped_spans = [this]() -> std::uint64_t {
-    if (config_.obs == nullptr) return 0;
+    if (config_.tracer == nullptr) return 0;
     std::lock_guard<std::mutex> lock(*config_.span_mutex);
-    return config_.obs->tracer.dropped();
+    return config_.tracer->dropped();
   };
   telemetry_ = std::make_unique<TelemetryStreamer>(std::move(telemetry));
 

@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "upa/obs/metrics.hpp"
-#include "upa/obs/observer.hpp"
+#include "upa/obs/trace.hpp"
 #include "upa/serve/telemetry.hpp"
 
 namespace upa::serve {
@@ -97,12 +97,13 @@ struct ConnectionServerConfig {
   /// connections admitted; called with the K it was judged against.
   std::function<std::string(std::size_t capacity)> reject_message;
   /// Fills a fresh registry with the owner's metrics for one telemetry
-  /// tick.
+  /// tick -- the owner's publish_metrics, the daemon's only metrics path
+  /// (schema: docs/modeling-guide.md, "Telemetry stream schema").
   std::function<void(obs::MetricsRegistry&)> fill_metrics;
-  /// The owner's observer (may be null) and the mutex it records span
-  /// batches under; subscribers stream its spans under that mutex, so
-  /// they only ever see complete batches.
-  obs::Observer* obs = nullptr;
+  /// The owner's tracer to stream (null when untraced) and the mutex it
+  /// records span batches under; subscribers stream its spans under that
+  /// mutex, so they only ever see complete batches.
+  const obs::Tracer* tracer = nullptr;
   std::mutex* span_mutex = nullptr;
 };
 

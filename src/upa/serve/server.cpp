@@ -35,6 +35,7 @@ std::size_t reconfigure_param(const Json& params, const char* name) {
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
       latency_(obs::geometric_buckets(1e-4, 2.0, 18)),
+      handler_seconds_(latency_.upper_bounds()),
       connections_(
           ConnectionServerConfig{
               .bind_address = config_.bind_address,
@@ -53,7 +54,7 @@ Server::Server(ServerConfig config)
                   [this](obs::MetricsRegistry& metrics) {
                     publish_metrics(metrics);
                   },
-              .obs = config_.obs,
+              .tracer = config_.trace ? &tracer_ : nullptr,
               .span_mutex = &latency_mutex_},
           [this](const std::string& line, const RequestContext& context) {
             return respond_line(line, context);
@@ -146,8 +147,8 @@ ServerStats Server::stats() const {
   s.reconfigures = c.reconfigures;
   {
     std::lock_guard<std::mutex> lock(latency_mutex_);
-    s.busy_seconds = busy_seconds_;
-    s.handled_requests = handled_requests_;
+    s.busy_seconds = handler_seconds_.sum();
+    s.handled_requests = handler_seconds_.count();
   }
   return s;
 }
@@ -159,26 +160,25 @@ ReconfigureResult Server::reconfigure(std::size_t workers,
 
 void Server::publish_metrics(obs::MetricsRegistry& metrics) const {
   const ServerStats s = stats();
-  metrics.gauge("serve.accepted").set(static_cast<double>(s.accepted));
-  metrics.gauge("serve.rejected").set(static_cast<double>(s.rejected));
-  metrics.gauge("serve.completed").set(static_cast<double>(s.completed));
-  metrics.gauge("serve.requests").set(static_cast<double>(s.requests));
-  metrics.gauge("serve.deadline_missed")
-      .set(static_cast<double>(s.deadline_missed));
-  metrics.gauge("serve.protocol_errors")
-      .set(static_cast<double>(s.protocol_errors));
-  metrics.gauge("serve.queue_depth").set(static_cast<double>(s.in_system));
-  metrics.gauge("serve.queue_depth_max")
+  metrics.counter("serve.accepted").add(s.accepted);
+  metrics.counter("serve.rejected").add(s.rejected);
+  metrics.counter("serve.completed").add(s.completed);
+  metrics.counter("serve.requests").add(s.requests);
+  metrics.counter("serve.deadline_missed").add(s.deadline_missed);
+  metrics.counter("serve.protocol_errors").add(s.protocol_errors);
+  metrics.counter("serve.reconfigures").add(s.reconfigures);
+  metrics.gauge("serve.in_system").set(static_cast<double>(s.in_system));
+  metrics.gauge("serve.max_in_system")
       .set(static_cast<double>(s.max_in_system));
   metrics.gauge("serve.workers").set(static_cast<double>(s.workers));
   metrics.gauge("serve.capacity").set(static_cast<double>(s.capacity));
   metrics.gauge("serve.retiring").set(static_cast<double>(s.retiring));
-  metrics.gauge("serve.reconfigures")
-      .set(static_cast<double>(s.reconfigures));
-  metrics.gauge("serve.busy_seconds").set(s.busy_seconds);
-  metrics.gauge("serve.handled_requests")
-      .set(static_cast<double>(s.handled_requests));
   std::lock_guard<std::mutex> lock(latency_mutex_);
+  for (const auto& [code, count] : requests_by_code_) {
+    metrics.counter("serve.code." + std::to_string(code)).add(count);
+  }
+  metrics.histogram("serve.handler_seconds", handler_seconds_.upper_bounds())
+      .merge_from(handler_seconds_);
   metrics
       .histogram("serve.request_latency_seconds", latency_.upper_bounds())
       .merge_from(latency_);
@@ -189,6 +189,16 @@ void Server::publish_metrics(obs::MetricsRegistry& metrics) const {
                    histogram.upper_bounds())
         .merge_from(histogram);
   }
+}
+
+std::vector<obs::Span> Server::spans() const {
+  std::lock_guard<std::mutex> lock(latency_mutex_);
+  return tracer_.spans();
+}
+
+std::uint64_t Server::dropped_spans() const {
+  std::lock_guard<std::mutex> lock(latency_mutex_);
+  return tracer_.dropped();
 }
 
 std::string Server::respond_line(const std::string& line,
@@ -310,41 +320,36 @@ void Server::observe_request(const RequestObservation& o) {
   std::lock_guard<std::mutex> lock(latency_mutex_);
   latency_.record(o.latency_seconds);
   if (o.has_handler) {
-    // Pure handler wall time: the controller's nu-hat numerator is
-    // handled_requests_ / busy_seconds_, free of queue-wait bias.
-    busy_seconds_ += o.handler_end - o.handler_begin;
-    ++handled_requests_;
+    // Pure handler wall time: the controller's nu-hat numerator is its
+    // count over its sum, free of queue-wait bias.
+    handler_seconds_.record(o.handler_end - o.handler_begin);
   }
   auto by_method = latency_by_method_.find(o.method);
   if (by_method == latency_by_method_.end()) {
     by_method = latency_by_method_.find("other");
   }
   by_method->second.record(o.latency_seconds);
-  obs::Observer* ob = config_.obs;
-  if (ob == nullptr) return;
-  ob->metrics.counter("serve.requests").add(1);
-  ob->metrics.counter("serve.code." + std::to_string(o.code)).add(1);
+  ++requests_by_code_[o.code];
   // Spans are the --trace feature: an untraced daemon keeps no per-request
   // record, so its memory does not grow with the requests it serves.
   if (!config_.trace) return;
-  const double end = ob->tracer.wall_now();
+  const double end = tracer_.wall_now();
   const double start = end - o.latency_seconds;
   const obs::SpanId id =
-      ob->tracer.begin(obs::SpanLevel::kServeRequest, o.method, start,
-                       obs::TimeDomain::kWallSeconds);
-  ob->tracer.attr(id, "code", static_cast<double>(o.code));
-  ob->tracer.attr(id, "queue_wait_seconds", o.queue_wait_seconds);
+      tracer_.begin(obs::SpanLevel::kServeRequest, o.method, start,
+                    obs::TimeDomain::kWallSeconds);
+  tracer_.attr(id, "code", static_cast<double>(o.code));
+  tracer_.attr(id, "queue_wait_seconds", o.queue_wait_seconds);
   if (o.sampled) {
     // Cross-process linkage + session-mining attrs, then retrospective
     // phase children. The whole batch lands under one latency_mutex_
     // hold, so a telemetry subscriber's span cursor never splits it.
     if (o.has_trace) {
-      ob->tracer.attr(id, "trace_id", o.trace_id);
-      ob->tracer.attr(id, "parent_span",
-                      static_cast<double>(o.parent_span));
+      tracer_.attr(id, "trace_id", o.trace_id);
+      tracer_.attr(id, "parent_span", static_cast<double>(o.parent_span));
     }
-    ob->tracer.attr(id, "conn", static_cast<double>(o.conn));
-    ob->tracer.attr(id, "seq", static_cast<double>(o.seq));
+    tracer_.attr(id, "conn", static_cast<double>(o.conn));
+    tracer_.attr(id, "seq", static_cast<double>(o.seq));
     const auto clamp = [&o](double offset) {
       if (offset < 0.0) return 0.0;
       return offset > o.latency_seconds ? o.latency_seconds : offset;
@@ -354,9 +359,9 @@ void Server::observe_request(const RequestObservation& o) {
       const double b = clamp(begin_offset);
       const double e = clamp(end_offset) < b ? b : clamp(end_offset);
       const obs::SpanId child =
-          ob->tracer.begin(obs::SpanLevel::kServePhase, name, start + b,
-                           obs::TimeDomain::kWallSeconds, id);
-      ob->tracer.end(child, start + e);
+          tracer_.begin(obs::SpanLevel::kServePhase, name, start + b,
+                        obs::TimeDomain::kWallSeconds, id);
+      tracer_.end(child, start + e);
     };
     phase(o.first_request ? "admission_wait" : "queue_wait", 0.0,
           o.queue_wait_seconds);
@@ -365,7 +370,7 @@ void Server::observe_request(const RequestObservation& o) {
       phase("serialize", o.serialize_begin, o.serialize_end);
     }
   }
-  ob->tracer.end(id, end);
+  tracer_.end(id, end);
 }
 
 }  // namespace upa::serve

@@ -9,7 +9,7 @@
 // -- the dogfood check run by `upa_loadgen` and pinned in
 // tests/test_serve.cpp. This class is the request handler: deadlines,
 // the evaluator dispatch, the `stats` and `reconfigure` RPCs, latency
-// histograms, and span recording.
+// histograms, the per-tick metrics snapshot, and span recording.
 //
 // Both knobs are runtime-elastic: reconfigure() (also exposed as the
 // `reconfigure` RPC, the actuator of the upa_ctl control loop) resizes
@@ -30,9 +30,10 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "upa/obs/metrics.hpp"
-#include "upa/obs/observer.hpp"
+#include "upa/obs/trace.hpp"
 #include "upa/serve/connection_server.hpp"
 #include "upa/serve/protocol.hpp"
 
@@ -56,18 +57,16 @@ struct ServerConfig {
   /// than this for the next request line, nor for a stalled client to
   /// drain a response, before closing the connection.
   double read_timeout_seconds = 10.0;
-  /// Optional observability sink (non-owning). Counts every request in
-  /// the serve.requests and serve.code.* counters; spans are recorded
-  /// only under `trace`. The observer is mutex-guarded inside the server
-  /// (Tracer/MetricsRegistry are single-threaded by design).
-  obs::Observer* obs = nullptr;
-  /// Distributed tracing mode (needs `obs`). Records one wall-domain
-  /// `serve_request` span per request (attrs: method, code, queue-wait);
+  /// Distributed tracing mode, the only span switch. Records one
+  /// wall-domain `serve_request` span per request (attrs: method, code,
+  /// queue-wait) into the server's own tracer (read it back via spans());
   /// per sampled request it grows trace-linkage attrs (trace_id,
   /// parent_span, conn, seq) plus serve_phase child spans
   /// (admission_wait / queue_wait, handler, serialize). Off by default:
   /// the hot path then records no span, and responses are byte-identical
-  /// to a trace-enabled server's.
+  /// to a trace-enabled server's. Metrics do not depend on it: the
+  /// per-tick snapshot (publish_metrics; docs/modeling-guide.md,
+  /// "Telemetry stream schema") is always streamed.
   bool trace = false;
   /// Label stamped on telemetry lines; empty = "upa_served:<port>".
   std::string telemetry_process;
@@ -141,11 +140,18 @@ class Server {
   /// server is draining, or before start().
   ReconfigureResult reconfigure(std::size_t workers, std::size_t capacity);
 
-  /// Snapshots the counters into `metrics` as serve.* gauges and merges
-  /// the request-latency histogram (serve.request_latency_seconds).
-  /// Intended for a fresh registry per snapshot -- merging twice
-  /// double-counts the histogram.
+  /// The one metrics path, streamed every `subscribe` tick: cumulative
+  /// totals as serve.* counters (serve.code.<n> per response code),
+  /// levels as serve.* gauges, and the latency and handler-time
+  /// histograms. docs/modeling-guide.md ("Telemetry stream schema")
+  /// lists every name. Intended for a fresh registry per snapshot --
+  /// publishing twice double-counts.
   void publish_metrics(obs::MetricsRegistry& metrics) const;
+
+  /// Copy of the recorded spans (empty unless `trace`) and the count
+  /// the tracer's cap dropped. Thread-safe.
+  [[nodiscard]] std::vector<obs::Span> spans() const;
+  [[nodiscard]] std::uint64_t dropped_spans() const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -187,8 +193,8 @@ class Server {
   std::atomic<std::uint64_t> deadline_missed_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
 
-  // latency_mutex_ guards latency_, latency_by_method_, busy_seconds_,
-  // handled_requests_, and config_.obs.
+  // latency_mutex_ guards latency_, latency_by_method_, handler_seconds_,
+  // requests_by_code_, and tracer_.
   // Traced requests record their whole span batch (root + phase
   // children) under one hold of this mutex, so the telemetry streamer's
   // span cursor -- advanced under the same mutex -- only ever observes
@@ -196,8 +202,11 @@ class Server {
   mutable std::mutex latency_mutex_;
   obs::Histogram latency_;
   std::map<std::string, obs::Histogram> latency_by_method_;
-  double busy_seconds_ = 0.0;          ///< handler wall time, summed
-  std::uint64_t handled_requests_ = 0;  ///< requests that ran a handler
+  /// Handler wall time per request that ran a handler: count is
+  /// ServerStats::handled_requests, sum is busy_seconds.
+  obs::Histogram handler_seconds_;
+  std::map<int, std::uint64_t> requests_by_code_;
+  obs::Tracer tracer_;
 
   // Last member: destroyed first, so no worker outlives the state above.
   ConnectionServer connections_;

@@ -5,9 +5,14 @@
 // tick it emits one metrics snapshot line
 //
 //   {"telemetry":"metrics","process":"upa_served:7077","seq":3,
-//    "dropped_spans":0,"counters":{...},"gauges":{...},
+//    "dropped_spans":0,"counters":{"serve.accepted":4,...},
+//    "gauges":{"serve.in_system":1,...},
 //    "histograms":{"serve.request_latency_seconds":
 //                  {"count":12,"sum":0.9,"bounds":[...],"counts":[...]}}}
+//
+// Cumulative totals are counters and levels are gauges; the table under
+// "Telemetry stream schema" in docs/modeling-guide.md names every metric
+// both daemons stream.
 //
 // followed by one line per span completed since the previous tick:
 //

@@ -1,38 +1,14 @@
 #include "upa/ta/symbolic.hpp"
 
 #include "upa/common/error.hpp"
-#include "upa/ta/functions.hpp"
 #include "upa/ta/services.hpp"
+#include "upa/ta/user_availability.hpp"
 
 namespace upa::ta {
 
 core::Expr user_availability_expr(UserClass uc, const TaParameters& p) {
   using core::Expr;
-  const profile::ScenarioSet table = scenario_table(uc);
-
-  // Accumulate the scenario masses exactly as user_availability_eq10.
-  double pi_home_only = 0.0;
-  double pi_browse = 0.0;
-  double pi_search_no_pay = 0.0;
-  double pi_pay = 0.0;
-  for (const profile::ScenarioClass& sc : table.scenarios()) {
-    switch (category_of(sc)) {
-      case ScenarioCategory::kSC1:
-        if (sc.functions.contains(function_index(TaFunction::kBrowse))) {
-          pi_browse += sc.probability;
-        } else {
-          pi_home_only += sc.probability;
-        }
-        break;
-      case ScenarioCategory::kSC2:
-      case ScenarioCategory::kSC3:
-        pi_search_no_pay += sc.probability;
-        break;
-      case ScenarioCategory::kSC4:
-        pi_pay += sc.probability;
-        break;
-    }
-  }
+  const Eq10Masses m = eq10_category_masses(scenario_table(uc));
 
   const Expr browse_bracket =
       Expr::constant(p.q23) +
@@ -44,10 +20,10 @@ core::Expr user_availability_expr(UserClass uc, const TaParameters& p) {
       Expr::param("AHotel") * Expr::param("ACar");
 
   return Expr::param("Anet") * Expr::param("ALAN") * Expr::param("AWS") *
-         (Expr::constant(pi_home_only) +
-          Expr::constant(pi_browse) * browse_bracket +
-          search_factor * (Expr::constant(pi_search_no_pay) +
-                           Expr::constant(pi_pay) * Expr::param("APS")));
+         (Expr::constant(m.home_only) +
+          Expr::constant(m.browse) * browse_bracket +
+          search_factor * (Expr::constant(m.search_no_pay) +
+                           Expr::constant(m.pay) * Expr::param("APS")));
 }
 
 std::map<std::string, double> user_availability_gradient(

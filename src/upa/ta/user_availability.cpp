@@ -8,78 +8,44 @@
 
 namespace upa::ta {
 
-double user_availability_eq10(UserClass uc, const TaParameters& p) {
-  const ServiceAvailabilities s = compute_services(p);
-  const profile::ScenarioSet table = scenario_table(uc);
-
-  // Accumulate the per-category scenario masses of Table 1.
-  double pi_sc1_home_only = 0.0;   // pi_1
-  double pi_sc1_browse = 0.0;      // pi_2 + pi_3 (Browse invoked)
-  double pi_search_no_pay = 0.0;   // pi_4..pi_9
-  double pi_pay = 0.0;             // pi_10..pi_12
-  for (const profile::ScenarioClass& sc : table.scenarios()) {
+Eq10Masses eq10_category_masses(const profile::ScenarioSet& scenarios) {
+  Eq10Masses m;
+  for (const profile::ScenarioClass& sc : scenarios.scenarios()) {
     switch (category_of(sc)) {
       case ScenarioCategory::kSC1:
         if (sc.functions.contains(function_index(TaFunction::kBrowse))) {
-          pi_sc1_browse += sc.probability;
+          m.browse += sc.probability;
         } else {
-          pi_sc1_home_only += sc.probability;
+          m.home_only += sc.probability;
         }
         break;
       case ScenarioCategory::kSC2:
       case ScenarioCategory::kSC3:
-        pi_search_no_pay += sc.probability;
+        m.search_no_pay += sc.probability;
         break;
       case ScenarioCategory::kSC4:
-        pi_pay += sc.probability;
+        m.pay += sc.probability;
         break;
     }
   }
+  return m;
+}
 
-  const double browse_bracket =
-      p.q23 + s.application * (p.q24 * p.q45 + p.q24 * p.q47 * s.database);
-  const double search_factor =
-      s.application * s.database * s.flight * s.hotel * s.car;
-  return s.net * s.lan * s.web *
-         (pi_sc1_home_only + pi_sc1_browse * browse_bracket +
-          search_factor * (pi_search_no_pay + pi_pay * s.payment));
+double user_availability_eq10(UserClass uc, const TaParameters& p) {
+  return user_availability_eq10_scenarios(scenario_table(uc), p);
 }
 
 double user_availability_eq10_scenarios(
     const profile::ScenarioSet& scenarios, const TaParameters& p) {
   const ServiceAvailabilities s = compute_services(p);
-
-  // Same accumulation as user_availability_eq10, over the supplied set.
-  double pi_sc1_home_only = 0.0;
-  double pi_sc1_browse = 0.0;
-  double pi_search_no_pay = 0.0;
-  double pi_pay = 0.0;
-  for (const profile::ScenarioClass& sc : scenarios.scenarios()) {
-    switch (category_of(sc)) {
-      case ScenarioCategory::kSC1:
-        if (sc.functions.contains(function_index(TaFunction::kBrowse))) {
-          pi_sc1_browse += sc.probability;
-        } else {
-          pi_sc1_home_only += sc.probability;
-        }
-        break;
-      case ScenarioCategory::kSC2:
-      case ScenarioCategory::kSC3:
-        pi_search_no_pay += sc.probability;
-        break;
-      case ScenarioCategory::kSC4:
-        pi_pay += sc.probability;
-        break;
-    }
-  }
-
+  const Eq10Masses m = eq10_category_masses(scenarios);
   const double browse_bracket =
       p.q23 + s.application * (p.q24 * p.q45 + p.q24 * p.q47 * s.database);
   const double search_factor =
       s.application * s.database * s.flight * s.hotel * s.car;
   return s.net * s.lan * s.web *
-         (pi_sc1_home_only + pi_sc1_browse * browse_bracket +
-          search_factor * (pi_search_no_pay + pi_pay * s.payment));
+         (m.home_only + m.browse * browse_bracket +
+          search_factor * (m.search_no_pay + m.pay * s.payment));
 }
 
 double user_availability_hierarchical(UserClass uc, const TaParameters& p) {

@@ -11,6 +11,20 @@
 
 namespace upa::ta {
 
+/// Scenario mass behind each term of eq. (10): SC1 without Browse
+/// (pi_1), SC1 with Browse (pi_2 + pi_3), SC2-SC3 (pi_4..pi_9) and SC4
+/// (pi_10..pi_12). The one accumulation the numeric and symbolic forms
+/// of eq. (10) share.
+struct Eq10Masses {
+  double home_only = 0.0;
+  double browse = 0.0;
+  double search_no_pay = 0.0;
+  double pay = 0.0;
+};
+
+[[nodiscard]] Eq10Masses eq10_category_masses(
+    const profile::ScenarioSet& scenarios);
+
 /// Paper eq. (10): closed-form user-perceived availability for a user
 /// class under the given parameters.
 [[nodiscard]] double user_availability_eq10(UserClass uc,

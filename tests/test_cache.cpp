@@ -198,7 +198,7 @@ TEST(EvalCache, PublishesMetricsAndRecordsLookupSpans) {
 
   upa::obs::MetricsRegistry snapshot;
   ec.publish_metrics(snapshot);
-  EXPECT_DOUBLE_EQ(snapshot.gauges().at("cache.hits").value(), 1.0);
+  EXPECT_EQ(snapshot.counters().at("cache.hits").value(), 1u);
   EXPECT_DOUBLE_EQ(snapshot.gauges().at("cache.hit_rate").value(), 0.5);
   EXPECT_DOUBLE_EQ(
       snapshot.gauges().at("cache.test.solver.hit_rate").value(), 0.5);

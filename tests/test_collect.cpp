@@ -24,7 +24,6 @@
 #include "upa/dispatch/front.hpp"
 #include "upa/linalg/matrix.hpp"
 #include "upa/obs/collect.hpp"
-#include "upa/obs/observer.hpp"
 #include "upa/serve/client.hpp"
 #include "upa/serve/json.hpp"
 #include "upa/serve/loadgen.hpp"
@@ -464,24 +463,20 @@ TEST(CollectLive, SubscribedFarmReassemblesEverySessionRequest) {
   using upa::serve::Server;
   using upa::serve::ServerConfig;
 
-  upa::obs::Observer server_obs;
   ServerConfig server_config;
   server_config.port = 0;
   server_config.workers = 2;
   server_config.capacity = 32;
   server_config.trace = true;
   server_config.telemetry_process = "served:live";
-  server_config.obs = &server_obs;
   Server server(std::move(server_config));
   server.start();
 
-  upa::obs::Observer front_obs;
   FrontConfig front_config;
   front_config.port = 0;
   front_config.upstreams = {{"127.0.0.1", server.port()}};
   front_config.trace = true;
   front_config.telemetry_process = "front:live";
-  front_config.obs = &front_obs;
   front_config.health.probe_interval_seconds = 30.0;
   front_config.health.unhealthy_threshold = 1000;
   Front front(std::move(front_config));

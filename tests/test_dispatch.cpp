@@ -26,7 +26,7 @@
 #include "upa/dispatch/upstream.hpp"
 #include "upa/inject/fault_plan.hpp"
 #include "upa/obs/metrics.hpp"
-#include "upa/obs/observer.hpp"
+#include "upa/obs/trace.hpp"
 #include "upa/serve/client.hpp"
 #include "upa/serve/protocol.hpp"
 #include "upa/serve/loadgen.hpp"
@@ -482,10 +482,9 @@ TEST(DispatchFront, PublishesPerUpstreamMetrics) {
   front.publish_metrics(metrics);
   const std::string prefix =
       "dispatch.upstream.127.0.0.1:" + std::to_string(server.port());
-  EXPECT_DOUBLE_EQ(metrics.gauges().at(prefix + ".attempts").value(), 1.0);
-  EXPECT_DOUBLE_EQ(metrics.gauges().at(prefix + ".ok").value(), 1.0);
-  EXPECT_DOUBLE_EQ(metrics.gauges().at("dispatch.forwarded_ok").value(),
-                   1.0);
+  EXPECT_EQ(metrics.counters().at(prefix + ".attempts").value(), 1u);
+  EXPECT_EQ(metrics.counters().at(prefix + ".ok").value(), 1u);
+  EXPECT_EQ(metrics.counters().at("dispatch.forwarded_ok").value(), 1u);
   EXPECT_FALSE(metrics.histograms().empty());
   front.stop();
   server.stop();
@@ -536,7 +535,7 @@ TEST(DispatchFarmSchedule, RejectsOverlapsAndEmptyPlans) {
 
 namespace trace_helpers {
 
-/// Root attribute lookups over the observer's span table.
+/// Attribute lookups over a daemon's span table.
 std::string text_attr(const upa::obs::Span& span, const std::string& key) {
   for (const upa::obs::SpanAttribute& attr : span.attributes) {
     if (attr.key == key && !attr.is_number) return attr.text;
@@ -561,7 +560,6 @@ TEST(DispatchTrace, OriginatesTraceAndRecordsAttemptTaxonomy) {
   Server live(live_server_config());
   live.start();
 
-  upa::obs::Observer observer;
   FrontConfig config;
   // Round-robin over {dead, live}: about half of all requests must fail
   // over, giving every attempt-outcome pattern in one run.
@@ -573,7 +571,6 @@ TEST(DispatchTrace, OriginatesTraceAndRecordsAttemptTaxonomy) {
   config.retry.backoff_initial_seconds = 0.001;
   config.retry.backoff_max_seconds = 0.002;
   config.health = inert_health();
-  config.obs = &observer;
   config.trace = true;
   Front front(std::move(config));
   front.start();
@@ -590,10 +587,11 @@ TEST(DispatchTrace, OriginatesTraceAndRecordsAttemptTaxonomy) {
   front.stop();
   live.stop();
 
+  const std::vector<upa::obs::Span> spans = front.spans();
   std::vector<const upa::obs::Span*> roots;
   std::map<upa::obs::SpanId, std::vector<const upa::obs::Span*>> children;
   std::set<double> refs;
-  for (const upa::obs::Span& span : observer.tracer.spans()) {
+  for (const upa::obs::Span& span : spans) {
     if (span.level == upa::obs::SpanLevel::kDispatchRequest) {
       roots.push_back(&span);
     } else if (span.level == upa::obs::SpanLevel::kDispatchAttempt) {
@@ -603,7 +601,7 @@ TEST(DispatchTrace, OriginatesTraceAndRecordsAttemptTaxonomy) {
     }
   }
   ASSERT_EQ(roots.size(), kRequests);
-  EXPECT_EQ(observer.tracer.dropped(), 0u);
+  EXPECT_EQ(front.dropped_spans(), 0u);
 
   std::set<std::string> trace_ids;
   bool saw_failover = false;
@@ -635,18 +633,14 @@ TEST(DispatchTrace, AdoptedContextLinksFrontAndServerSpans) {
   using trace_helpers::number_attr;
   using trace_helpers::text_attr;
 
-  upa::obs::Observer server_obs;
   ServerConfig server_config = live_server_config();
-  server_config.obs = &server_obs;
   server_config.trace = true;
   Server server(std::move(server_config));
   server.start();
 
-  upa::obs::Observer front_obs;
   FrontConfig config;
   config.upstreams = {{"127.0.0.1", server.port()}};
   config.health = inert_health();
-  config.obs = &front_obs;
   config.trace = true;
   Front front(std::move(config));
   front.start();
@@ -662,9 +656,10 @@ TEST(DispatchTrace, AdoptedContextLinksFrontAndServerSpans) {
   server.stop();
 
   // The front adopted the client's context...
+  const std::vector<upa::obs::Span> front_spans = front.spans();
   const upa::obs::Span* root = nullptr;
   const upa::obs::Span* attempt = nullptr;
-  for (const upa::obs::Span& span : front_obs.tracer.spans()) {
+  for (const upa::obs::Span& span : front_spans) {
     if (span.level == upa::obs::SpanLevel::kDispatchRequest) root = &span;
     if (span.level == upa::obs::SpanLevel::kDispatchAttempt) {
       attempt = &span;
@@ -678,8 +673,9 @@ TEST(DispatchTrace, AdoptedContextLinksFrontAndServerSpans) {
   // ...and the replica's serve_request span parents on exactly the
   // attempt's propagated reference: the cross-process linkage the
   // collector stitches on.
+  const std::vector<upa::obs::Span> server_spans = server.spans();
   const upa::obs::Span* server_root = nullptr;
-  for (const upa::obs::Span& span : server_obs.tracer.spans()) {
+  for (const upa::obs::Span& span : server_spans) {
     if (span.level == upa::obs::SpanLevel::kServeRequest) {
       server_root = &span;
     }
@@ -694,11 +690,9 @@ TEST(DispatchTrace, MalformedTraceForwardsVerbatimAndRecordsNothing) {
   Server server(live_server_config());
   server.start();
 
-  upa::obs::Observer observer;
   FrontConfig config;
   config.upstreams = {{"127.0.0.1", server.port()}};
   config.health = inert_health();
-  config.obs = &observer;
   config.trace = true;
   Front front(std::move(config));
   front.start();
@@ -720,7 +714,7 @@ TEST(DispatchTrace, MalformedTraceForwardsVerbatimAndRecordsNothing) {
 
   // An unparseable context is not a trace: the front records no spans
   // for it rather than inventing linkage the collector would trip on.
-  EXPECT_TRUE(observer.tracer.spans().empty());
+  EXPECT_TRUE(front.spans().empty());
 }
 
 TEST(FarmFailover, TracedRunAccountsEverySpan) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -29,7 +30,7 @@
 #include "upa/cache/serialize.hpp"
 #include "upa/common/error.hpp"
 #include "upa/dispatch/front.hpp"
-#include "upa/obs/observer.hpp"
+#include "upa/obs/metrics.hpp"
 #include "upa/queueing/mmck.hpp"
 #include "upa/serve/anti_entropy.hpp"
 #include "upa/serve/client.hpp"
@@ -820,10 +821,7 @@ TEST(ServeServer, KeepAliveRequestsGetFreshDeadlineBudgets) {
 }
 
 TEST(ServeServer, StatsMethodAndObserverMetrics) {
-  upa::obs::Observer observer;
-  ServerConfig config = loopback_config(2, 8);
-  config.obs = &observer;
-  Server server(std::move(config));
+  Server server(loopback_config(2, 8));
   server.start();
 
   Client client;
@@ -838,16 +836,16 @@ TEST(ServeServer, StatsMethodAndObserverMetrics) {
   client.close();
   server.stop();
 
-  // Untraced, the observer counts every request but keeps no span.
-  EXPECT_TRUE(observer.tracer.spans().empty());
-  EXPECT_GE(observer.metrics.counter("serve.requests").value(), 2.0);
-  EXPECT_GE(observer.metrics.counter("serve.code.200").value(), 2.0);
+  // Untraced, the server keeps no span.
+  EXPECT_TRUE(server.spans().empty());
 
-  // publish_metrics exports the counter snapshot as gauges.
+  // publish_metrics exports every total as a counter, per response code
+  // too.
   upa::obs::MetricsRegistry registry;
   server.publish_metrics(registry);
-  EXPECT_DOUBLE_EQ(registry.gauge("serve.requests").value(), 2.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("serve.accepted").value(), 1.0);
+  EXPECT_EQ(registry.counters().at("serve.requests").value(), 2u);
+  EXPECT_EQ(registry.counters().at("serve.code.200").value(), 2u);
+  EXPECT_EQ(registry.counters().at("serve.accepted").value(), 1u);
 }
 
 TEST(ServeServer, SessionReplayCompletesAgainstGenerousCapacity) {
@@ -924,9 +922,7 @@ TEST(ServeTrace, MalformedTraceMemberIsA400NotACrash) {
 }
 
 TEST(ServeTrace, ServerParentsSpansOnPropagatedContext) {
-  upa::obs::Observer observer;
   ServerConfig config = loopback_config(2, 8);
-  config.obs = &observer;
   config.trace = true;
   Server server(std::move(config));
   server.start();
@@ -943,9 +939,10 @@ TEST(ServeTrace, ServerParentsSpansOnPropagatedContext) {
 
   // One serve_request root carrying the propagated linkage, plus its
   // serve_phase children.
+  const std::vector<upa::obs::Span> spans = server.spans();
   const upa::obs::Span* root = nullptr;
   std::size_t phases = 0;
-  for (const upa::obs::Span& span : observer.tracer.spans()) {
+  for (const upa::obs::Span& span : spans) {
     if (span.level == upa::obs::SpanLevel::kServeRequest) {
       ASSERT_EQ(root, nullptr);
       root = &span;
@@ -967,7 +964,7 @@ TEST(ServeTrace, ServerParentsSpansOnPropagatedContext) {
   EXPECT_DOUBLE_EQ(code, 200.0);
   // admission_wait (first request on the connection), handler, serialize.
   EXPECT_EQ(phases, 3u);
-  for (const upa::obs::Span& span : observer.tracer.spans()) {
+  for (const upa::obs::Span& span : spans) {
     if (span.level == upa::obs::SpanLevel::kServePhase) {
       EXPECT_EQ(span.parent, root->id);
     }
@@ -978,9 +975,7 @@ TEST(ServeTrace, ResponsesAreByteIdenticalWithTracingOffOrOn) {
   // Same request with and without a trace member, against a traced and
   // an untraced server: all four response lines must be identical --
   // tracing must never leak into the bytes on the wire.
-  upa::obs::Observer observer;
   ServerConfig traced = loopback_config(1, 4);
-  traced.obs = &observer;
   traced.trace = true;
   Server traced_server(std::move(traced));
   traced_server.start();
@@ -1017,9 +1012,7 @@ TEST(ServeTrace, ResponsesAreByteIdenticalWithTracingOffOrOn) {
 // --- Telemetry streaming (subscribe) -------------------------------------
 
 TEST(Subscribe, StreamsMetricsAndSpans) {
-  upa::obs::Observer observer;
   ServerConfig config = loopback_config(2, 8);
-  config.obs = &observer;
   config.trace = true;
   config.telemetry_process = "served:test";
   Server server(std::move(config));
@@ -1088,6 +1081,152 @@ TEST(Subscribe, BadIntervalIsA400AndTheConnectionSurvives) {
   const CallResult alive = client.call("ping", Json(), 2);
   EXPECT_TRUE(alive.ok());
   client.close();
+  server.stop();
+}
+
+namespace stream_schema {
+
+/// `section[name]` as a number; NaN (and a test failure) when absent.
+double number_at(const Json* section, const std::string& name) {
+  const Json* v = section != nullptr ? section->find(name) : nullptr;
+  if (v == nullptr || !v->is_number()) {
+    ADD_FAILURE() << "telemetry tick lacks " << name;
+    return std::nan("");
+  }
+  return v->as_number();
+}
+
+/// Subscribes to a daemon and returns its first metrics tick in which
+/// every admitted connection, the subscriber's own included, has
+/// completed: an idle tick, whose values no longer move.
+Json idle_tick(std::uint16_t port, const std::string& prefix) {
+  Client subscriber;
+  subscriber.connect("127.0.0.1", port, 5.0, 10.0);
+  subscriber.send_line(
+      R"({"id": 1, "method": "subscribe", "params": {"interval_ms": 50}})");
+  (void)subscriber.read_line();  // the ack
+  for (int i = 0; i < 200; ++i) {
+    Json line = parse_json(subscriber.read_line());
+    if (line.find("telemetry")->as_string() != "metrics") continue;
+    const Json* counters = line.find("counters");
+    if (number_at(counters, prefix + ".completed") ==
+            number_at(counters, prefix + ".accepted") &&
+        number_at(line.find("gauges"), prefix + ".in_system") == 0.0) {
+      return line;
+    }
+  }
+  ADD_FAILURE() << prefix << " never streamed an idle tick";
+  return Json::object();
+}
+
+}  // namespace stream_schema
+
+TEST(Subscribe, StreamCarriesEveryStatsField) {
+  // Every numeric `stats` and `dispatch_stats` field reaches the stream,
+  // typed: cumulative totals as counters, levels as gauges, and no total
+  // under gauges. Traffic through a front answers 200 and 400 upstream
+  // and one local dispatch_stats; idle ticks then pin exact values.
+  using stream_schema::number_at;
+  const auto d = [](auto v) { return static_cast<double>(v); };
+  Server server(loopback_config(2, 8));
+  upa::dispatch::Front front(fronting(server, 2, 8));
+  front.start();
+
+  Client client;
+  client.connect("127.0.0.1", front.port());
+  ASSERT_TRUE(client.call("ping", Json()).ok());
+  const CallResult stats_call = client.call("stats", Json());
+  ASSERT_TRUE(stats_call.ok());
+  const Json stats_result = *stats_call.result();
+  const Json bad = parse_json(client.call_line("{not json"));
+  EXPECT_EQ(bad.find("error")->find("code")->as_number(),
+            ErrorCode::kBadRequest);
+  const CallResult dispatch_call = client.call("dispatch_stats", Json());
+  ASSERT_TRUE(dispatch_call.ok());
+  const Json dispatch_result = *dispatch_call.result();
+  client.close();
+
+  // upa_served: every numeric stats key, against stats() at an idle tick.
+  const Json served = stream_schema::idle_tick(server.port(), "serve");
+  const upa::serve::ServerStats s = server.stats();
+  const std::map<std::string, double> totals = {
+      {"accepted", d(s.accepted)},
+      {"rejected", d(s.rejected)},
+      {"completed", d(s.completed)},
+      {"requests", d(s.requests)},
+      {"deadline_missed", d(s.deadline_missed)},
+      {"protocol_errors", d(s.protocol_errors)},
+      {"reconfigures", d(s.reconfigures)}};
+  const std::map<std::string, double> levels = {
+      {"workers", d(s.workers)},
+      {"capacity", d(s.capacity)},
+      {"in_system", d(s.in_system)},
+      {"max_in_system", d(s.max_in_system)},
+      {"retiring", d(s.retiring)}};
+  const Json* counters = served.find("counters");
+  const Json* gauges = served.find("gauges");
+  const Json* histograms = served.find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  const Json* handler = histograms->find("serve.handler_seconds");
+  std::size_t stats_keys = 0;
+  for (const auto& [key, value] : stats_result.as_object()) {
+    if (!value.is_number()) continue;
+    ++stats_keys;
+    const std::string name = "serve." + key;
+    if (key == "busy_seconds") {
+      EXPECT_EQ(number_at(handler, "sum"), s.busy_seconds);
+    } else if (key == "handled_requests") {
+      EXPECT_EQ(number_at(handler, "count"), d(s.handled_requests));
+    } else if (totals.contains(key)) {
+      EXPECT_EQ(number_at(counters, name), totals.at(key)) << name;
+    } else if (levels.contains(key)) {
+      EXPECT_EQ(number_at(gauges, name), levels.at(key)) << name;
+    } else {
+      ADD_FAILURE() << "stats key " << key << " is neither total nor level";
+    }
+  }
+  EXPECT_EQ(stats_keys, totals.size() + levels.size() + 2);
+  for (const auto& [name, value] : gauges->as_object()) {
+    EXPECT_TRUE(levels.contains(name.substr(std::string("serve.").size())))
+        << name << " is a gauge but not a level";
+  }
+  // Per-code counters: the bad line answered 400; the front's health
+  // probe, ping and stats 200.
+  EXPECT_EQ(number_at(counters, "serve.code.400"), 1.0);
+  EXPECT_EQ(number_at(counters, "serve.code.200"), d(s.requests) - 1.0);
+
+  // upa_dispatch: dispatch_stats' numeric keys, at an idle tick.
+  const Json dispatched = stream_schema::idle_tick(front.port(), "dispatch");
+  counters = dispatched.find("counters");
+  gauges = dispatched.find("gauges");
+  for (const auto& [key, value] : dispatch_result.as_object()) {
+    if (!value.is_number() || key == "upstream_count") continue;
+    EXPECT_EQ(number_at(counters, "dispatch." + key), value.as_number())
+        << key;
+  }
+  const Json* upstreams = dispatch_result.find("upstreams");
+  ASSERT_NE(upstreams, nullptr);
+  ASSERT_EQ(upstreams->as_array().size(), 1u);
+  const Json& upstream = upstreams->as_array().front();
+  const std::string prefix =
+      "dispatch.upstream." + upstream.find("address")->as_string() + ".";
+  std::size_t upstream_keys = 0;
+  for (const auto& [key, value] : upstream.as_object()) {
+    if (!value.is_number()) continue;
+    ++upstream_keys;
+    const Json* section = key == "outstanding" ? gauges : counters;
+    EXPECT_EQ(number_at(section, prefix + key), value.as_number()) << key;
+  }
+  EXPECT_EQ(upstream_keys, 10u);
+  EXPECT_EQ(number_at(gauges, prefix + "healthy"),
+            upstream.find("healthy")->as_bool() ? 1.0 : 0.0);
+  for (const auto& [name, value] : gauges->as_object()) {
+    EXPECT_TRUE(name == "dispatch.in_system" ||
+                name == "dispatch.max_in_system" ||
+                name == prefix + "healthy" || name == prefix + "outstanding")
+        << name << " is a gauge but not a level";
+  }
+  front.stop();
   server.stop();
 }
 

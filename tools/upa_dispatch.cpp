@@ -17,7 +17,6 @@
 #include "upa/cli/args.hpp"
 #include "upa/common/error.hpp"
 #include "upa/dispatch/front.hpp"
-#include "upa/obs/observer.hpp"
 
 namespace {
 
@@ -147,9 +146,6 @@ int main(int argc, char** argv) {
     config.health.healthy_threshold = args.get_size("healthy-threshold", 1);
     config.trace = args.has("trace");
     config.telemetry_process = args.get("process", "");
-
-    obs::Observer observer;
-    config.obs = &observer;
 
     dispatch::Front front(std::move(config));
     front.start();

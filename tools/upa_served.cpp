@@ -18,7 +18,6 @@
 #include "upa/cache/persist.hpp"
 #include "upa/cli/args.hpp"
 #include "upa/common/error.hpp"
-#include "upa/obs/observer.hpp"
 #include "upa/serve/anti_entropy.hpp"
 #include "upa/serve/server.hpp"
 
@@ -159,9 +158,6 @@ int main(int argc, char** argv) {
             std::chrono::milliseconds(static_cast<long>(compact_ms)));
       }
     }
-    obs::Observer observer;
-    config.obs = &observer;
-
     serve::Server server(std::move(config));
     server.start();
 
