@@ -157,9 +157,11 @@ void Controller::handle_metrics_line(const Json& line) {
               "telemetry tick lacks counters or serve.handler_seconds");
   CounterSample sample;
   sample.t = now_seconds();
-  const double accepted = tick_number(*counters, "serve.accepted");
+  // Arrivals are request lines, admitted or refused at K -- the model's
+  // customers -- not TCP connections.
+  const double admitted = tick_number(*counters, "serve.admitted");
   sample.rejected = tick_number(*counters, "serve.rejected");
-  sample.arrivals = accepted + sample.rejected;
+  sample.arrivals = admitted + sample.rejected;
   sample.handled = tick_number(*handler, "count");
   sample.busy_seconds = tick_number(*handler, "sum");
   estimator_.observe(sample);

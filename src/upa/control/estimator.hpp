@@ -5,7 +5,7 @@
 // estimator turns consecutive snapshots into the three quantities the
 // M/M/i/K planner needs:
 //
-//   lambda-hat  offered arrival rate  = d(accepted + rejected) / dt
+//   lambda-hat  offered arrival rate  = d(admitted + rejected) / dt
 //   nu-hat      per-server service rate = d(handled) / d(busy_seconds)
 //   loss-hat    measured rejection fraction = d(rejected) / d(arrivals)
 //
@@ -27,7 +27,7 @@ namespace upa::control {
 /// values are monotone nondecreasing across samples from one server run.
 struct CounterSample {
   double t = 0.0;             ///< sample time [s], any monotone clock
-  double arrivals = 0.0;      ///< cumulative accepted + rejected
+  double arrivals = 0.0;      ///< cumulative admitted + rejected lines
   double rejected = 0.0;      ///< cumulative admission rejections (503)
   double handled = 0.0;       ///< cumulative requests that ran a handler
   double busy_seconds = 0.0;  ///< cumulative handler wall time

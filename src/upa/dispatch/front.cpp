@@ -91,7 +91,9 @@ Front::Front(FrontConfig config)
   UPA_REQUIRE(config_.retry.jitter >= 0.0 && config_.retry.jitter <= 1.0,
               "RetryConfig.jitter must be in [0, 1]");
   check_health_config(config_.health);
-  health_ = std::make_unique<HealthChecker>(pool_, config_.health);
+  idle_.resize(pool_.size());
+  health_ = std::make_unique<HealthChecker>(
+      pool_, config_.health, [this](std::size_t index) { close_pool(index); });
   latency_by_outcome_.reserve(kOutcomeCount);
   for (std::size_t i = 0; i < kOutcomeCount; ++i) {
     latency_by_outcome_.emplace_back(obs::geometric_buckets(1e-4, 2.0, 18));
@@ -125,12 +127,14 @@ void Front::stop() {
   std::lock_guard<std::mutex> lock(start_stop_mutex_);
   connections_.stop();
   health_->stop();
+  for (std::size_t i = 0; i < idle_.size(); ++i) close_pool(i);
 }
 
 FrontStats Front::stats() const {
   const serve::ConnectionStats c = connections_.stats();
   FrontStats s;
   s.accepted = c.accepted;
+  s.admitted = c.admitted;
   s.rejected = c.rejected;
   s.completed = c.completed;
   s.requests = requests_.load();
@@ -156,6 +160,7 @@ void Front::publish_metrics(obs::MetricsRegistry& metrics) const {
   const FrontStats s = stats();
   const std::pair<const char*, std::uint64_t> totals[] = {
       {"accepted", s.accepted},
+      {"admitted", s.admitted},
       {"rejected", s.rejected},
       {"completed", s.completed},
       {"requests", s.requests},
@@ -228,17 +233,29 @@ ForwardAttempt Front::attempt_once(std::size_t index,
   const Clock::time_point begin = Clock::now();
   ForwardAttempt attempt;
   attempt.upstream_index = index;
-  try {
-    serve::Client client;
-    client.connect(address.host, address.port,
-                   config_.upstream_connect_timeout_seconds,
-                   config_.upstream_call_timeout_seconds);
-    response_out = client.call_line(line);
-    attempt.outcome =
-        from_call_outcome(serve::classify_response(response_out).outcome);
-  } catch (const std::exception&) {
-    attempt.outcome = AttemptOutcome::kTransport;
-    response_out.clear();
+  std::uint64_t generation = 0;
+  serve::Client client = checkout(index, generation);
+  // A pooled connection the upstream closed while it sat idle fails
+  // before any response byte: one fresh connect retries the line within
+  // this attempt. Anything else is the attempt's transport failure.
+  for (bool pooled = client.connected();; pooled = false) {
+    try {
+      if (!pooled) {
+        client.connect(address.host, address.port,
+                       config_.upstream_connect_timeout_seconds,
+                       config_.upstream_call_timeout_seconds);
+      }
+      response_out = client.call_line(line);
+      attempt.outcome =
+          from_call_outcome(serve::classify_response(response_out).outcome);
+      checkin(index, std::move(client), generation);
+      break;
+    } catch (const std::exception&) {
+      const bool stale = pooled && client.closed_before_response();
+      client.close();
+      response_out.clear();
+      if (!stale) break;
+    }
   }
   const double latency = seconds_between(begin, Clock::now());
   pool_.end_call(index, attempt.outcome, latency);
@@ -249,6 +266,32 @@ ForwardAttempt Front::attempt_once(std::size_t index,
     latency_by_upstream_[index].record(latency);
   }
   return attempt;
+}
+
+serve::Client Front::checkout(std::size_t index, std::uint64_t& generation) {
+  std::lock_guard<std::mutex> lock(idle_mutex_);
+  IdleClients& idle = idle_[index];
+  generation = idle.generation;
+  if (idle.clients.empty()) return serve::Client();
+  serve::Client client = std::move(idle.clients.back());
+  idle.clients.pop_back();
+  return client;
+}
+
+void Front::checkin(std::size_t index, serve::Client client,
+                    std::uint64_t generation) {
+  std::lock_guard<std::mutex> lock(idle_mutex_);
+  IdleClients& idle = idle_[index];
+  if (idle.generation == generation) {
+    idle.clients.push_back(std::move(client));
+  }
+}
+
+void Front::close_pool(std::size_t index) {
+  std::vector<serve::Client> closing;
+  std::lock_guard<std::mutex> lock(idle_mutex_);
+  ++idle_[index].generation;
+  closing.swap(idle_[index].clients);
 }
 
 void Front::backoff_sleep(std::size_t retry_number) {

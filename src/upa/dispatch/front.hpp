@@ -26,6 +26,14 @@
 // the `subscribe` handoff and the graceful drain are the shared
 // serve::ConnectionServer (upa/serve/connection_server.hpp) -- the same
 // one upa_served runs; this class is its request handler.
+//
+// Upstream connections are kept alive and pooled per upstream: a worker
+// checks one out for an attempt and returns it after a complete
+// response line, so no upstream ever sees more pooled connections than
+// the front has workers. A pooled connection that fails before any
+// response byte arrives (the upstream closed it while idle, or
+// restarted) is replaced by one fresh connect within the same attempt
+// and is not a transport failure. Ejecting an upstream closes its pool.
 
 #include <atomic>
 #include <chrono>
@@ -41,6 +49,7 @@
 #include "upa/dispatch/upstream.hpp"
 #include "upa/obs/metrics.hpp"
 #include "upa/obs/trace.hpp"
+#include "upa/serve/client.hpp"
 #include "upa/serve/connection_server.hpp"
 #include "upa/serve/protocol.hpp"
 #include "upa/sim/rng.hpp"
@@ -64,22 +73,25 @@ struct FrontConfig {
   std::uint16_t port = 0;
   std::vector<UpstreamAddress> upstreams;
   BalancePolicy policy = BalancePolicy::kLeastOutstanding;
-  /// Front worker threads; each forwards one client connection at a
-  /// time, so this bounds concurrent forwarded calls.
+  /// Front worker threads; each forwards one request at a time, so this
+  /// bounds concurrent forwarded calls and the pooled connections per
+  /// upstream.
   std::size_t workers = 16;
-  /// Admitted client connections (queued + in service); on overflow the
-  /// acceptor answers 503 without reading. Sized so the front itself
-  /// never rejects under bench load -- farm-level loss should come from
-  /// the upstreams' M/M/i/K admission, not from the dispatcher.
+  /// Client request lines in the front at once (queued + forwarding); a
+  /// line beyond it gets a 503 without being forwarded. Sized so the
+  /// front itself never rejects under bench load -- farm-level loss
+  /// should come from the upstreams' M/M/i/K admission, not from the
+  /// dispatcher.
   std::size_t max_clients = 256;
-  /// Client-side socket idle timeout (both directions).
+  /// Client connection deadline: idle between request lines, or leaving
+  /// a response unread.
   double read_timeout_seconds = 10.0;
   /// Per-attempt upstream connect timeout. Small: a dead replica must
   /// fail fast so the retry layer can move on.
   double upstream_connect_timeout_seconds = 1.0;
-  /// Per-attempt upstream receive timeout (waiting for the response
-  /// line). Bounded so a replica killed mid-response is a fast retry,
-  /// not a 30 s stall.
+  /// Per-attempt upstream send and receive timeout (writing the request,
+  /// waiting for the response line). Bounded so a replica killed
+  /// mid-response is a fast retry, not a 30 s stall.
   double upstream_call_timeout_seconds = 10.0;
   HealthConfig health;
   RetryConfig retry;
@@ -102,9 +114,10 @@ struct FrontConfig {
 /// forwarded_* counters classify each *request* by its final outcome --
 /// a retried-then-succeeded request counts exactly once, as ok.
 struct FrontStats {
-  std::uint64_t accepted = 0;        ///< client connections admitted
-  std::uint64_t rejected = 0;        ///< client connections 503'd (full)
-  std::uint64_t completed = 0;       ///< client connections fully handled
+  std::uint64_t accepted = 0;        ///< client TCP connections accepted
+  std::uint64_t admitted = 0;        ///< client request lines admitted
+  std::uint64_t rejected = 0;        ///< client request lines 503'd (full)
+  std::uint64_t completed = 0;       ///< admitted requests fully handled
   std::uint64_t requests = 0;        ///< request lines answered
   std::uint64_t forwarded_ok = 0;
   std::uint64_t forwarded_rejected = 0;   ///< final 503 (incl. exhausted)
@@ -115,7 +128,7 @@ struct FrontStats {
   std::uint64_t failovers = 0;       ///< retries that switched replica
   std::uint64_t retries_exhausted = 0;    ///< budgets fully spent
   std::uint64_t stats_served = 0;    ///< dispatch_stats answered locally
-  std::size_t in_system = 0;
+  std::size_t in_system = 0;      ///< requests queued or forwarding
   std::size_t max_in_system = 0;
 };
 
@@ -145,11 +158,12 @@ class Front {
   Front& operator=(const Front&) = delete;
 
   /// Binds, listens, runs one initial health sweep, and spawns the
-  /// acceptor, workers, and the health checker.
+  /// reactor, workers, and the health checker.
   void start();
 
   /// Graceful drain (serve::ConnectionServer::stop), then stops the
-  /// health checker. Idempotent.
+  /// health checker and closes the pooled upstream connections.
+  /// Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const noexcept {
@@ -209,11 +223,23 @@ class Front {
       const std::string& request_line,
       const std::optional<serve::Json>& request, std::uint64_t conn,
       std::uint64_t seq);
-  /// One attempt against one upstream; records pool counters and the
-  /// per-outcome and per-upstream latency histograms.
+  /// One attempt against one upstream over a pooled connection; records
+  /// pool counters and the per-outcome and per-upstream latency
+  /// histograms.
   [[nodiscard]] ForwardAttempt attempt_once(std::size_t index,
                                             const std::string& line,
                                             std::string& response_out);
+  /// An idle pooled connection to upstream `index`, or an unconnected
+  /// client, with the pool generation it was taken under.
+  [[nodiscard]] serve::Client checkout(std::size_t index,
+                                       std::uint64_t& generation);
+  /// Returns a connection that read a complete response line; one taken
+  /// before its upstream was ejected is closed instead.
+  void checkin(std::size_t index, serve::Client client,
+               std::uint64_t generation);
+  /// Closes upstream `index`'s idle pooled connections and retires the
+  /// ones checked out now.
+  void close_pool(std::size_t index);
   void backoff_sleep(std::size_t retry_number);
   [[nodiscard]] std::string exhausted_envelope(
       const std::optional<serve::Json>& request,
@@ -231,6 +257,16 @@ class Front {
   FrontConfig config_;
   UpstreamPool pool_;
   Balancer balancer_;
+
+  // Kept-alive upstream connections, by upstream index; a generation
+  // bump (ejection) retires the ones checked out.
+  struct IdleClients {
+    std::vector<serve::Client> clients;
+    std::uint64_t generation = 0;
+  };
+  std::mutex idle_mutex_;  // guards idle_
+  std::vector<IdleClients> idle_;
+
   std::unique_ptr<HealthChecker> health_;
   std::mutex start_stop_mutex_;  // serializes start/stop callers
 

@@ -1,6 +1,7 @@
 #include "upa/dispatch/health.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "upa/common/error.hpp"
 #include "upa/serve/client.hpp"
@@ -18,8 +19,9 @@ void check_health_config(const HealthConfig& config) {
               "healthy threshold must be >= 1");
 }
 
-HealthChecker::HealthChecker(UpstreamPool& pool, HealthConfig config)
-    : pool_(pool), config_(config) {
+HealthChecker::HealthChecker(UpstreamPool& pool, HealthConfig config,
+                             std::function<void(std::size_t)> on_eject)
+    : pool_(pool), config_(config), on_eject_(std::move(on_eject)) {
   check_health_config(config_);
 }
 
@@ -51,8 +53,12 @@ void HealthChecker::stop() {
 void HealthChecker::probe_all() {
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     const bool ok = probe_one(i);
-    pool_.record_probe(i, ok, config_.unhealthy_threshold,
-                       config_.healthy_threshold);
+    // A failed probe can only flip a verdict to unhealthy.
+    if (pool_.record_probe(i, ok, config_.unhealthy_threshold,
+                           config_.healthy_threshold) &&
+        !ok && on_eject_) {
+      on_eject_(i);
+    }
   }
 }
 

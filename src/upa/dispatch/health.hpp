@@ -10,6 +10,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -31,7 +32,10 @@ void check_health_config(const HealthConfig& config);
 class HealthChecker {
  public:
   /// The pool must outlive the checker. Probing starts on start().
-  HealthChecker(UpstreamPool& pool, HealthConfig config);
+  /// `on_eject` (optional) runs on the probing thread each time an
+  /// upstream is ejected, with its pool index.
+  HealthChecker(UpstreamPool& pool, HealthConfig config,
+                std::function<void(std::size_t index)> on_eject = {});
   ~HealthChecker();
 
   HealthChecker(const HealthChecker&) = delete;
@@ -54,6 +58,7 @@ class HealthChecker {
 
   UpstreamPool& pool_;
   HealthConfig config_;
+  std::function<void(std::size_t index)> on_eject_;
   std::thread thread_;
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -21,9 +21,9 @@ namespace {
 using SpanKey = std::pair<std::string, std::uint64_t>;
 
 /// Attempt outcomes that imply the replica accepted and handled the
-/// request, so a matching server-side span must exist. An acceptor
-/// rejection (503 written without reading) and a transport failure
-/// legitimately leave no server span.
+/// request, so a matching server-side span must exist. An admission
+/// rejection (503 written before any handler runs) and a transport
+/// failure legitimately leave no server span.
 bool outcome_needs_server_span(const std::string& outcome) {
   return outcome == "ok" || outcome == "deadline" || outcome == "error";
 }

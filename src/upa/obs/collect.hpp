@@ -14,8 +14,8 @@
 // its root exists, its per-attempt children match the root's `attempts`
 // count, and every attempt whose outcome implies the replica handled
 // the request (ok / deadline / error) has a matching server-side span
-// -- acceptor rejections (503 written without reading) and transport
-// failures legitimately leave no server span.
+// -- admission rejections (503 written before any handler runs) and
+// transport failures legitimately leave no server span.
 //
 // Profile mining: traced requests carry (conn, seq) attributes, so the
 // collector can rebuild each client connection's method sequence, map

@@ -33,13 +33,15 @@ Client::~Client() { close(); }
 
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      buffer_(std::move(other.buffer_)) {}
+      buffer_(std::move(other.buffer_)),
+      closed_before_response_(other.closed_before_response_) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     buffer_ = std::move(other.buffer_);
+    closed_before_response_ = other.closed_before_response_;
   }
   return *this;
 }
@@ -99,14 +101,12 @@ void Client::connect(const std::string& host, std::uint16_t port,
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-  // A stuck server must not hang the client forever -- but the bound is
-  // the caller's, not a hardcoded 30 s floor that silently swallowed
-  // shorter deadline experiments.
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(call_timeout_seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (call_timeout_seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  // A stuck server must not hang the client forever, in either
+  // direction: a kept-alive connection to a server that stops reading
+  // would otherwise pin the caller in send_all. The bound is the
+  // caller's, not a hardcoded floor that would swallow shorter deadline
+  // experiments.
+  set_io_timeouts(fd, call_timeout_seconds);
 
   fd_ = fd;
   buffer_.clear();
@@ -123,6 +123,7 @@ void Client::close() {
 void Client::send_line(const std::string& line) {
   UPA_REQUIRE(fd_ >= 0, "Client is not connected");
   if (!send_all(fd_, line + "\n")) {
+    closed_before_response_ = errno == EPIPE || errno == ECONNRESET;
     throw common::ModelError("send failed: " +
                              std::string(std::strerror(errno)));
   }
@@ -142,6 +143,8 @@ std::string Client::read_line() {
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
+      closed_before_response_ =
+          buffer_.empty() && (n == 0 || errno == ECONNRESET);
       throw common::ModelError(
           n == 0 ? "connection closed before a response line"
                  : "recv failed: " + std::string(std::strerror(errno)));
@@ -155,6 +158,7 @@ void Client::shutdown_both() {
 }
 
 std::string Client::call_line(const std::string& request_line) {
+  closed_before_response_ = false;
   send_line(request_line);
   return read_line();
 }

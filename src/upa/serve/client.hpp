@@ -56,7 +56,8 @@ class Client {
 
   /// Connects with a timeout (seconds). Throws ModelError on failure
   /// (connection refused, timeout, bad address). `call_timeout_seconds`
-  /// bounds each subsequent receive while waiting for a response line;
+  /// bounds each subsequent send and receive, so neither a server that
+  /// stops reading nor one that never answers holds the caller longer;
   /// 0 inherits `timeout_seconds`, so a client is never stuck longer
   /// waiting for a response than it was willing to wait for a connect
   /// unless it asks to be.
@@ -71,6 +72,14 @@ class Client {
   /// ModelError on transport failure; the returned string has the
   /// trailing newline stripped.
   [[nodiscard]] std::string call_line(const std::string& request_line);
+
+  /// True when the last call_line failed because the peer had closed or
+  /// reset the connection before any byte of the response arrived --
+  /// how a kept-alive connection looks after the server dropped it while
+  /// idle. A timeout or a partial response line does not count.
+  [[nodiscard]] bool closed_before_response() const noexcept {
+    return closed_before_response_;
+  }
 
   /// Builds {"id": id, "method": method, "params": params}, sends it,
   /// and classifies the response. Transport failures are folded into
@@ -96,6 +105,7 @@ class Client {
  private:
   int fd_ = -1;
   std::string buffer_;  ///< unconsumed bytes past the last response line
+  bool closed_before_response_ = false;
 };
 
 /// Classifies a raw response line (shared by Client::call and tests).

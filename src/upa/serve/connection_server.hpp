@@ -1,37 +1,51 @@
 #pragma once
 // The connection server both daemons run -- `upa_served` (serve::Server)
 // and `upa_dispatch` (dispatch::Front) -- and whose own request handling
-// IS the paper's M/M/i/K station. `workers` threads (the paper's i
-// operational servers) drain one bounded queue; `capacity` (the paper's
-// K) bounds the total number of admitted connections in the system --
-// queued plus in service. Admission control is explicit and
-// non-blocking: when the system is full the acceptor writes a one-line
-// 503 envelope to the new connection and closes it without ever reading
-// the request, so the accept loop can never stall behind a slow client
-// or a full queue.
+// IS the paper's M/M/i/K station, with the request line as the customer.
+// `workers` threads (the paper's i operational servers) drain one
+// bounded queue; `capacity` (the paper's K) bounds the request lines in
+// the system -- queued plus in service.
 //
-// Each admitted connection is a keep-alive loop of newline-delimited
-// request lines. Every line goes to the owner's RequestHandler, except a
-// `subscribe` line, which hands the socket to a TelemetryStreamer (a
-// long-lived subscriber must not hold one of the K admission slots).
+// One epoll reactor thread owns every socket. It accepts, reads without
+// blocking, frames newline-delimited request lines, and judges each line
+// against K: a line that finds K requests in the system gets a one-line
+// 503 envelope written by the reactor, the handler never runs for it,
+// and the connection stays open for its next line. An admitted line goes
+// to the queue; a worker runs the owner's RequestHandler and writes the
+// response straight to the non-blocking socket, handing any short write
+// back to the reactor's EPOLLOUT path. A connection has at most one
+// request in flight: it is read again only after its response is
+// written, so responses keep request order. A `subscribe` line hands the
+// socket to a TelemetryStreamer (a long-lived subscriber holds no slot).
+//
+// An idle keep-alive connection holds no admission slot, and no thread
+// that other work needs. A worker that has written a response keeps that
+// connection only while nothing else is queued -- for at most its idle
+// deadline -- and admits and serves its next line itself, so a
+// request/response client pays no reactor wake-up and no hand-off per
+// request. When a line is queued for want of an idle worker, the worker
+// that has held a connection longest is poked: it gives the connection
+// back to the reactor and takes the line (the drain and a shrink poke
+// them all). A queued line goes to the idle worker that last served its
+// connection, else to the one that idled last -- warm caches, and the
+// allocator arena that already holds the connection's working set.
 //
 // Both knobs are runtime-elastic: reconfigure() retargets the worker
 // pool and swaps the admission bound atomically. Grow spawns threads at
-// once; shrink retires excess workers only between connections, so an
+// once; shrink retires excess workers only between requests, so an
 // in-flight request always completes.
 //
-// Lifecycle: start() binds, listens, and spawns the acceptor plus the
-// workers; stop() (idempotent, also run by the destructor) closes the
-// listen socket so no new connection is admitted, lets the workers drain
-// every admitted connection, and joins all threads. The first line read
-// on an admitted connection is always waited for (the connection was
-// admitted, so its request is served); every later read -- including
-// the one after a blank line -- is parked, and stop() wakes parked reads
-// at once. In-flight requests always complete, but a kept-alive
-// connection gets no further requests once the drain begins, and both
-// socket directions carry `read_timeout_seconds`, so stop() always
-// terminates even against a client that keeps sending or stops reading.
-// Post-stop connects are refused by the OS.
+// Lifecycle: start() binds, listens, and spawns the reactor plus the
+// workers; stop() (idempotent, also run by the destructor) stops
+// accepting, lets every request in the system finish, closes each
+// connection once its response is written, and joins all threads. Lines
+// that arrive while the drain still has requests in flight are served;
+// once the system is empty every remaining connection is closed.
+// `read_timeout_seconds` is the reactor's deadline per connection: an
+// idle connection that sends nothing for that long, or a client that
+// stops reading a response for that long, is closed -- so stop() always
+// terminates, even against a client that keeps sending or stops
+// reading. Post-stop connects are refused by the OS.
 
 #include <atomic>
 #include <chrono>
@@ -43,6 +57,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "upa/obs/metrics.hpp"
@@ -51,28 +66,23 @@
 
 namespace upa::serve {
 
-/// Bounds both directions of socket I/O. The send timeout matters as
-/// much as the recv one: without it a client that stops reading (full
-/// socket buffer) pins a worker in send_all forever, and stop() can
-/// never join that worker. No-op for seconds <= 0.
+/// Bounds both directions of blocking socket I/O. The send timeout
+/// matters as much as the recv one: without it a peer that stops reading
+/// (full socket buffer) pins the sender in send_all forever. No-op for
+/// seconds <= 0.
 void set_io_timeouts(int fd, double seconds);
 
-/// Writes the whole buffer; false on a broken/slow peer. MSG_NOSIGNAL
-/// keeps a disappeared peer from killing the process with SIGPIPE.
+/// Writes the whole buffer to a blocking socket; false on a broken/slow
+/// peer. MSG_NOSIGNAL keeps a disappeared peer from killing the process
+/// with SIGPIPE.
 bool send_all(int fd, const std::string& data);
-
-/// Pulls one '\n'-terminated line (a trailing '\r' stripped) out of
-/// (buffer + socket). Returns false on EOF, timeout, error, or a line
-/// longer than 1 MiB -- a client bug, not a workload.
-bool read_line(int fd, std::string& buffer, std::string& line);
 
 /// What a handler knows about the request line it answers.
 struct RequestContext {
-  std::chrono::steady_clock::time_point admitted;   ///< connection admitted
-  std::chrono::steady_clock::time_point line_read;  ///< this line read
-  bool first_request = true;  ///< first line read on this connection
-  std::uint64_t conn = 0;     ///< connection serial, 1-based
-  std::uint64_t seq = 0;      ///< request index on the connection
+  std::chrono::steady_clock::time_point admitted;  ///< line admitted
+  std::chrono::steady_clock::time_point dequeued;  ///< a worker took it
+  std::uint64_t conn = 0;  ///< connection serial, 1-based
+  std::uint64_t seq = 0;   ///< request index on the connection
 };
 
 /// One request line in, one response line (without '\n') out. Runs on
@@ -88,13 +98,15 @@ struct ConnectionServerConfig {
   std::uint16_t port = 0;
   std::size_t workers = 1;   ///< the model's i
   std::size_t capacity = 1;  ///< the model's K; must be >= workers
-  /// Socket I/O timeout (both directions) on every admitted connection.
+  /// Per-connection deadline: how long a connection may stay idle
+  /// between request lines, and how long a response may wait for the
+  /// client to read it, before the reactor closes the connection.
   double read_timeout_seconds = 10.0;
   /// Telemetry label; empty = "<process_kind>:<port>".
   std::string telemetry_process;
   std::string process_kind;
-  /// Message of the 503 envelope a connection gets when it finds K
-  /// connections admitted; called with the K it was judged against.
+  /// Message of the 503 envelope a request line gets when it finds K
+  /// requests in the system; called with the K it was judged against.
   std::function<std::string(std::size_t capacity)> reject_message;
   /// Fills a fresh registry with the owner's metrics for one telemetry
   /// tick -- the owner's publish_metrics, the daemon's only metrics path
@@ -109,10 +121,11 @@ struct ConnectionServerConfig {
 
 /// Point-in-time counter snapshot (all values since construction).
 struct ConnectionStats {
-  std::uint64_t accepted = 0;   ///< connections admitted into the queue
-  std::uint64_t rejected = 0;   ///< connections refused with 503 (full)
-  std::uint64_t completed = 0;  ///< admitted connections fully handled
-  std::size_t in_system = 0;      ///< current queued + in-service
+  std::uint64_t accepted = 0;   ///< TCP connections accepted
+  std::uint64_t admitted = 0;   ///< request lines admitted to the queue
+  std::uint64_t rejected = 0;   ///< request lines refused with 503 (full)
+  std::uint64_t completed = 0;  ///< admitted requests fully handled
+  std::size_t in_system = 0;      ///< requests queued or in service now
   std::size_t max_in_system = 0;  ///< high-water mark of in_system
   std::size_t workers = 0;   ///< current worker target (the model's i)
   std::size_t capacity = 0;  ///< current admission bound (the model's K)
@@ -127,7 +140,7 @@ struct ReconfigureResult {
   std::size_t previous_workers = 0;
   std::size_t previous_capacity = 0;
   /// Workers above the new target that will retire as soon as they
-  /// finish their current connection (drain-aware shrink).
+  /// finish their current request (drain-aware shrink).
   std::size_t retiring = 0;
 };
 
@@ -139,13 +152,15 @@ class ConnectionServer {
   ConnectionServer(const ConnectionServer&) = delete;
   ConnectionServer& operator=(const ConnectionServer&) = delete;
 
-  /// Binds, listens, and spawns acceptor + workers. Throws ModelError on
-  /// socket failures (port in use, no permission) and if already started.
+  /// Binds, listens, and spawns the reactor + workers. Throws ModelError
+  /// on socket failures (port in use, no permission) and if already
+  /// started.
   void start();
 
-  /// Graceful drain: stops accepting, serves everything already
-  /// admitted, joins all threads. Idempotent; safe to call from a signal
-  /// watcher thread. Returns once every worker has exited.
+  /// Graceful drain: stops accepting, serves every request in the
+  /// system, closes every connection, joins all threads. Idempotent;
+  /// safe to call from a signal watcher thread. Returns once every
+  /// worker has exited.
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return running_.load(); }
@@ -159,7 +174,7 @@ class ConnectionServer {
   /// The admission bound swaps atomically with its 503 text; lowering K
   /// below the current occupancy evicts nothing. Grow spawns threads
   /// immediately; shrink retires excess workers before they take their
-  /// NEXT connection. Concurrent calls serialize (a handler may call
+  /// NEXT request. Concurrent calls serialize (a handler may call
   /// this). Throws ModelError on invalid targets (workers < 1,
   /// capacity < workers), while draining, or before start().
   ReconfigureResult reconfigure(std::size_t workers, std::size_t capacity);
@@ -167,28 +182,96 @@ class ConnectionServer {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// One accepted socket (defined in the .cpp). The reactor owns it;
+  /// while one of its requests is queued or in service, or its worker
+  /// holds it between requests, only that worker touches it, and the
+  /// reactor takes it back from the handback list.
+  struct Connection;
+
+  /// An admitted request line on its way to a worker.
   struct Job {
-    int fd = -1;
-    Clock::time_point admitted;
+    Connection* conn = nullptr;
+    std::string line;
+    RequestContext context;
   };
 
-  void acceptor_loop();
+  /// A worker giving `conn` back to the reactor: with the bytes a short
+  /// write left for the EPOLLOUT path; `failed` (the reactor closes it);
+  /// `rearmed`, when the worker re-armed it for reading itself; or with
+  /// none of these, for the reactor to frame what it has buffered.
+  struct Handback {
+    Connection* conn = nullptr;
+    std::string unsent;
+    bool failed = false;
+    bool rearmed = false;
+  };
+
+  /// A worker waiting for work: idle on `cv`, or lingering on the
+  /// connection it last answered until `poke_fd` is written. A job goes
+  /// to the idle worker that last served its connection, else to the
+  /// most recently idle one -- either way to warm caches and the
+  /// allocator arena that already holds the connection's working set.
+  struct Waiter {
+    std::condition_variable cv;
+    bool woken = false;
+    std::uint64_t id = 0;
+    int poke_fd = -1;  ///< eventfd that ends a linger
+    bool poked = false;
+  };
+
+  void reactor_loop();
+  void accept_ready();
+  /// Reads what the socket holds; false when the connection must close.
+  [[nodiscard]] bool read_ready(Connection& conn);
+  /// Frames and judges buffered lines until one is admitted, a reply
+  /// waits on EPOLLOUT, or the buffer holds no full line (then the
+  /// connection is re-armed for reading). Closes the connection on EOF,
+  /// an oversized line, or a failed write.
+  void advance(Connection& conn);
+  /// Writes a reactor-made reply. False when it did not all go out now:
+  /// the rest waits on EPOLLOUT, or the connection was closed.
+  [[nodiscard]] bool reply(Connection& conn, std::string bytes);
+  /// After a response is written: true when the connection takes its
+  /// next line; false (and closed) once the drain has begun.
+  [[nodiscard]] bool keep_open(Connection& conn);
+  void flush_ready(Connection& conn);
+  /// Applies the workers' handbacks and notices the start of the drain.
+  /// Runs before each batch of events is handled, so a connection's
+  /// handback is always applied before its next line is read.
+  void take_handbacks();
+  void close_idle_past_deadline();
+  [[nodiscard]] Clock::time_point deadline_from_now() const;
+  void arm(Connection& conn, std::uint32_t events);
+  void close_connection(Connection& conn);
   void worker_loop();
-  void handle_connection(const Job& job);
-  /// Intercepts a `subscribe` request line before the handler. Returns
-  /// 0 when the line is not a subscribe (caller proceeds), 1 when the fd
-  /// was handed to the telemetry streamer (caller must return without
-  /// closing it), 2 when an error envelope was already sent (caller
-  /// continues the connection loop).
-  [[nodiscard]] int maybe_subscribe(int fd, const std::string& line);
-  /// Registers a kept-alive connection about to block in recv for its
-  /// next line; stop() shutdown(SHUT_RD)s every parked fd so the drain
-  /// ends immediately instead of waiting out the read timeout. Returns
-  /// false (without parking) once the drain has begun, which is also
-  /// what keeps an endlessly-requesting client from holding the drain
-  /// open: the request in flight finishes, no further ones start.
-  [[nodiscard]] bool park_for_next_request(int fd);
-  void unpark(int fd);
+  /// Runs the handler and writes the response. True when the response
+  /// went out whole and the connection is idle, still held by the
+  /// worker; false after handing it back to the reactor.
+  [[nodiscard]] bool serve(Job& job);
+  /// Keeps the connection the worker just answered while no other work
+  /// is queued, for at most its idle deadline, and reads its next line
+  /// straight off the socket: a request/response client's next line then
+  /// costs no reactor wake-up and no hand-off. True with `job` refilled
+  /// when that line was admitted here; false after handing the
+  /// connection back (work was queued, the deadline passed, or the
+  /// input needs the reactor).
+  [[nodiscard]] bool linger(Job& job, Waiter& me);
+  void hand_back(Handback back);
+  /// Wakes idle worker `preferred`, else the most recently idle one;
+  /// idle_ must not be empty. Caller holds mutex_.
+  void wake_idle_locked(std::uint64_t preferred);
+  /// Ends a lingering worker's hold; the caller has taken it off
+  /// lingering_ and holds mutex_.
+  void poke_locked(Waiter& waiter);
+  /// Wakes every idle worker and pokes every lingering one, so they see
+  /// a changed target or the drain. Caller holds mutex_.
+  void wake_all_locked();
+  /// Intercepts a `subscribe` request line before admission. Returns
+  /// false when the line is not a subscribe; otherwise true, with the fd
+  /// handed to the telemetry streamer (`reply` empty) or an error
+  /// envelope to write in `reply`.
+  [[nodiscard]] bool maybe_subscribe(int fd, const std::string& line,
+                                     std::string& reply);
   /// Joins and erases worker threads that retired from a previous
   /// shrink (their ids are in exited_worker_ids_). Caller holds
   /// workers_mutex_.
@@ -199,21 +282,36 @@ class ConnectionServer {
   RequestHandler handler_;
 
   int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: handbacks waiting, or the drain began
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> accept_stop_{false};
   std::mutex stop_mutex_;  // serializes start/stop callers
   bool started_ = false;   // guarded by stop_mutex_
 
-  // mutex_ guards queue_, in_system_, stopping_, parked_fds_, the
-  // dynamic pool/admission state (workers_target_, capacity_limit_,
+  // Reactor-thread state: every open connection by fd, how many of them
+  // are not idle (a request in the system, or a reply being flushed) --
+  // the drain ends when that reaches zero -- and whether the reactor has
+  // seen the drain begin.
+  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  std::size_t busy_connections_ = 0;
+  bool draining_seen_ = false;
+  Clock::time_point next_deadline_sweep_;
+
+  // mutex_ guards idle_, worker_serial_, queue_, in_system_,
+  // max_in_system_, handbacks_, lingering_, draining_, stopping_,
+  // the pool/admission state (workers_target_, capacity_limit_,
   // active_workers_, reject_line_), and exited_worker_ids_.
   mutable std::mutex mutex_;
-  std::condition_variable work_ready_;
+  std::vector<Waiter*> idle_;  ///< a stack: the back idled last
+  std::vector<Waiter*> lingering_;  ///< the front has lingered longest
+  std::uint64_t worker_serial_ = 0;
   std::deque<Job> queue_;
   std::size_t in_system_ = 0;
-  bool stopping_ = false;
-  std::vector<int> parked_fds_;  // connections idle between requests
+  std::vector<Handback> handbacks_;
+  std::size_t max_in_system_ = 0;
+  bool draining_ = false;  ///< stop() began: no accepts, no reconfigure
+  bool stopping_ = false;  ///< the reactor is done: idle workers exit
   std::size_t workers_target_ = 0;
   std::size_t capacity_limit_ = 0;
   std::size_t active_workers_ = 0;  ///< live worker loops (incl. retiring)
@@ -221,16 +319,16 @@ class ConnectionServer {
   std::vector<std::thread::id> exited_worker_ids_;  ///< retired, joinable
 
   std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::size_t> max_in_system_{0};
   std::atomic<std::uint64_t> reconfigures_{0};
-  std::atomic<std::uint64_t> conn_serial_{0};
+  std::uint64_t conn_serial_ = 0;  ///< reactor thread only
 
   std::unique_ptr<TelemetryStreamer> telemetry_;
 
   // Thread handles last: every member above outlives the threads.
-  std::thread acceptor_;
+  std::thread reactor_;
   // workers_mutex_ guards the workers_ thread handles and serializes
   // reconfigure() callers. Never held while joining a RUNNING worker
   // (a worker executing a reconfigure RPC needs it) -- stop() moves

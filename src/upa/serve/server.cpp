@@ -72,6 +72,7 @@ Server::Server(ServerConfig config)
     out.set("workers", Json(s.workers));
     out.set("capacity", Json(s.capacity));
     out.set("accepted", Json(static_cast<double>(s.accepted)));
+    out.set("admitted", Json(static_cast<double>(s.admitted)));
     out.set("rejected", Json(static_cast<double>(s.rejected)));
     out.set("completed", Json(static_cast<double>(s.completed)));
     out.set("requests", Json(static_cast<double>(s.requests)));
@@ -134,6 +135,7 @@ ServerStats Server::stats() const {
   const ConnectionStats c = connections_.stats();
   ServerStats s;
   s.accepted = c.accepted;
+  s.admitted = c.admitted;
   s.rejected = c.rejected;
   s.completed = c.completed;
   s.requests = requests_.load();
@@ -161,6 +163,7 @@ ReconfigureResult Server::reconfigure(std::size_t workers,
 void Server::publish_metrics(obs::MetricsRegistry& metrics) const {
   const ServerStats s = stats();
   metrics.counter("serve.accepted").add(s.accepted);
+  metrics.counter("serve.admitted").add(s.admitted);
   metrics.counter("serve.rejected").add(s.rejected);
   metrics.counter("serve.completed").add(s.completed);
   metrics.counter("serve.requests").add(s.requests);
@@ -203,17 +206,12 @@ std::uint64_t Server::dropped_spans() const {
 
 std::string Server::respond_line(const std::string& line,
                                  const RequestContext& context) {
-  // The admission-anchored budget and timings apply only to the
-  // connection's first request; later requests on a kept-alive
-  // connection are each fresh and anchor at their own line read --
-  // otherwise every request after the budget elapsed would 504 and the
-  // latency histogram would absorb the whole connection age.
-  const Clock::time_point line_read = context.line_read;
-  const Clock::time_point anchor =
-      context.first_request ? context.admitted : line_read;
+  // Every request is anchored at its line's admission: the deadline
+  // budget, the latency histogram and the queue wait all start there.
+  const Clock::time_point anchor = context.admitted;
   RequestObservation observation;
-  observation.first_request = context.first_request;
-  observation.queue_wait_seconds = seconds_between(anchor, line_read);
+  observation.queue_wait_seconds =
+      seconds_between(anchor, context.dequeued);
   observation.conn = context.conn;
   observation.seq = context.seq;
 
@@ -246,10 +244,9 @@ std::string Server::respond_line(const std::string& line,
     }
   }
 
-  // Effective deadline: the server-wide budget counts from the request
-  // anchor (connection admission for a connection's first request, line
-  // read for later ones); a request-level `deadline_ms` counts from
-  // when its line was read and can only tighten the budget.
+  // Effective deadline: the server-wide budget and a request-level
+  // `deadline_ms` both count from admission; the latter can only
+  // tighten the budget.
   Clock::time_point deadline = Clock::time_point::max();
   if (config_.deadline_seconds > 0.0) {
     deadline = anchor + std::chrono::duration_cast<Clock::duration>(
@@ -260,7 +257,7 @@ std::string Server::respond_line(const std::string& line,
     if (const Json* ms = request.find("deadline_ms");
         ms != nullptr && ms->is_number() && ms->as_number() > 0.0) {
       const auto request_deadline =
-          line_read + std::chrono::duration_cast<Clock::duration>(
+          anchor + std::chrono::duration_cast<Clock::duration>(
                           std::chrono::duration<double>(ms->as_number() /
                                                         1000.0));
       if (request_deadline < deadline) deadline = request_deadline;
@@ -363,8 +360,7 @@ void Server::observe_request(const RequestObservation& o) {
                         obs::TimeDomain::kWallSeconds, id);
       tracer_.end(child, start + e);
     };
-    phase(o.first_request ? "admission_wait" : "queue_wait", 0.0,
-          o.queue_wait_seconds);
+    phase("queue_wait", 0.0, o.queue_wait_seconds);
     if (o.has_handler) phase("handler", o.handler_begin, o.handler_end);
     if (o.has_serialize) {
       phase("serialize", o.serialize_begin, o.serialize_end);

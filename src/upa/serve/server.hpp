@@ -1,7 +1,7 @@
 #pragma once
 // `upa_served` core: the evaluation service whose own request handling
 // IS the paper's M/M/i/K model. Accept, non-blocking admission (503 when
-// K connections are in the system), the i workers, keep-alive, the
+// K requests are in the system), the i workers, keep-alive, the
 // `subscribe` handoff and the graceful drain all live in the shared
 // ConnectionServer (connection_server.hpp) -- the same one upa_dispatch
 // runs. The measured rejection fraction under an open-loop Poisson load
@@ -16,13 +16,11 @@
 // the connection server's worker pool and admission bound.
 //
 // Deadlines: a server-wide `deadline_seconds` budget (0 = off) applies
-// per request -- anchored at connection admission for a connection's
-// first request and at the line read for every later request on the
-// same kept-alive connection (so long-lived connections are not
-// penalized for their age). A request may tighten (never extend) the
-// budget with a `deadline_ms` envelope member measured from when its
-// line was read. An over-deadline request gets a 504 envelope --
-// including when the result was computed but missed the budget.
+// per request, anchored at the admission of its line (so long-lived
+// connections are not penalized for their age). A request may tighten
+// (never extend) the budget with a `deadline_ms` envelope member, also
+// measured from admission. An over-deadline request gets a 504 envelope
+// -- including when the result was computed but missed the budget.
 
 #include <atomic>
 #include <chrono>
@@ -46,23 +44,22 @@ struct ServerConfig {
   std::uint16_t port = 0;
   /// Worker threads draining the request queue -- the model's i.
   std::size_t workers = 2;
-  /// Total admitted connections in the system (queued + in service) --
+  /// Total admitted requests in the system (queued + in service) --
   /// the model's K. Must be >= workers.
   std::size_t capacity = 8;
-  /// Per-request deadline in seconds (0 disables), anchored at
-  /// admission for a connection's first request and at the line read
-  /// for each later request on the same connection.
+  /// Per-request deadline in seconds (0 disables), anchored at the
+  /// admission of the request line.
   double deadline_seconds = 0.0;
-  /// Socket I/O timeout (both directions): a worker never waits longer
-  /// than this for the next request line, nor for a stalled client to
-  /// drain a response, before closing the connection.
+  /// Per-connection deadline: a connection idle this long between
+  /// request lines, or a client that leaves a response unread this
+  /// long, is closed.
   double read_timeout_seconds = 10.0;
   /// Distributed tracing mode, the only span switch. Records one
   /// wall-domain `serve_request` span per request (attrs: method, code,
   /// queue-wait) into the server's own tracer (read it back via spans());
   /// per sampled request it grows trace-linkage attrs (trace_id,
   /// parent_span, conn, seq) plus serve_phase child spans
-  /// (admission_wait / queue_wait, handler, serialize). Off by default:
+  /// (queue_wait, handler, serialize). Off by default:
   /// the hot path then records no span, and responses are byte-identical
   /// to a trace-enabled server's. Metrics do not depend on it: the
   /// per-tick snapshot (publish_metrics; docs/modeling-guide.md,
@@ -74,13 +71,14 @@ struct ServerConfig {
 
 /// Point-in-time counter snapshot (all values since start()).
 struct ServerStats {
-  std::uint64_t accepted = 0;    ///< connections admitted into the queue
-  std::uint64_t rejected = 0;    ///< connections refused with 503 (full)
-  std::uint64_t completed = 0;   ///< admitted connections fully handled
+  std::uint64_t accepted = 0;    ///< TCP connections accepted
+  std::uint64_t admitted = 0;    ///< request lines admitted to the queue
+  std::uint64_t rejected = 0;    ///< request lines refused with 503 (full)
+  std::uint64_t completed = 0;   ///< admitted requests fully handled
   std::uint64_t requests = 0;    ///< request lines answered (any code)
   std::uint64_t deadline_missed = 0;  ///< requests answered with 504
   std::uint64_t protocol_errors = 0;  ///< unparseable request lines
-  std::size_t in_system = 0;       ///< current queued + in-service
+  std::size_t in_system = 0;       ///< requests queued or in service
   std::size_t max_in_system = 0;   ///< high-water mark of in_system
   std::size_t workers = 0;     ///< current worker target (the model's i)
   std::size_t capacity = 0;    ///< current admission bound (the model's K)
@@ -104,13 +102,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns acceptor + workers. Throws ModelError on
+  /// Binds, listens, and spawns reactor + workers. Throws ModelError on
   /// socket failures (port in use, no permission) and if already started.
   void start();
 
-  /// Graceful drain: stops accepting, serves everything already
-  /// admitted, joins all threads. Idempotent; safe to call from a signal
-  /// watcher thread. Returns once every worker has exited.
+  /// Graceful drain: stops accepting, serves every request in the
+  /// system, closes every connection, joins all threads. Idempotent;
+  /// safe to call from a signal watcher thread. Returns once every
+  /// worker has exited.
   void stop();
 
   [[nodiscard]] bool running() const noexcept {
@@ -161,7 +160,6 @@ class Server {
   struct RequestObservation {
     std::string method = "?";
     int code = 200;
-    bool first_request = true;
     double queue_wait_seconds = 0.0;
     double latency_seconds = 0.0;
     double handler_begin = 0.0;
@@ -179,9 +177,8 @@ class Server {
   };
 
   /// One request line -> one response line (counters + deadline checks).
-  /// The request anchor starts the deadline budget and the latency/
-  /// queue-wait clocks: admission time for a connection's first request,
-  /// the line read time for every later request on the same connection.
+  /// The line's admission starts the deadline budget and the latency/
+  /// queue-wait clocks.
   [[nodiscard]] std::string respond_line(const std::string& line,
                                          const RequestContext& context);
   void observe_request(const RequestObservation& observation);

@@ -126,7 +126,7 @@ TEST(Collect, IngestJsonlCountsRecognizedLines) {
 std::vector<std::string> crossed_trace_lines() {
   return {
       // Replica channel arrives first; its clock is offset by +100 s.
-      span_line("served:b", 6, 5, "admission_wait", "serve_phase", 105.02,
+      span_line("served:b", 6, 5, "queue_wait", "serve_phase", 105.02,
                 105.03, {}),
       span_line("served:b", 7, 5, "handler", "serve_phase", 105.03, 105.08,
                 {}),
@@ -188,7 +188,7 @@ TEST(Collect, ReassemblesCrossProcessTraceFromOutOfOrderStreams) {
   ASSERT_NE(request.attempts[1].server_root, nullptr);
   EXPECT_EQ(request.attempts[1].server_root->process, "served:b");
   ASSERT_EQ(request.attempts[1].server_phases.size(), 2u);
-  EXPECT_EQ(request.attempts[1].server_phases[0]->name, "admission_wait");
+  EXPECT_EQ(request.attempts[1].server_phases[0]->name, "queue_wait");
   EXPECT_EQ(request.attempts[1].server_phases[1]->name, "handler");
 
   EXPECT_DOUBLE_EQ(
@@ -243,7 +243,7 @@ TEST(Collect, MissingServerSpanAndMissingAttemptAreIncomplete) {
             std::string::npos);
 
   // A rejected attempt, by contrast, is complete without one: the
-  // acceptor writes its 503 without ever reading the request.
+  // replica's reactor writes its 503 and no handler runs.
   TraceCollector rejected;
   ASSERT_TRUE(rejected.ingest_line(span_line(
       "front:a", 10, 0, "ping", "dispatch_request", 5.0, 5.1,

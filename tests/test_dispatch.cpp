@@ -3,17 +3,17 @@
 // bounded failover retry layer, and the live kill -9 farm experiment
 // validated against the imperfect-coverage composite model.
 //
-// Naming note: the Dispatch* suites run under the ThreadSanitizer CI job
-// (its ctest regex includes "Dispatch"). FarmFailover deliberately does
-// NOT match that regex: it spawns real upa_served processes and measures
-// a timed loss fraction, which under TSan's ~10x slowdown would measure
-// the sanitizer, not the farm.
+// Naming note: the Dispatch* and FarmFailover suites run under the
+// ThreadSanitizer CI job (its ctest regex includes "Dispatch" and
+// "Farm"), so the kill -9 failover exercises the reactor and the
+// upstream connection pool under the race detector.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -490,6 +490,66 @@ TEST(DispatchFront, PublishesPerUpstreamMetrics) {
   server.stop();
 }
 
+TEST(DispatchFront, ReusesPooledUpstreamConnections) {
+  // Upstream connections are kept alive: 200 sequential requests open at
+  // most one connection per front worker (the initial health probe's
+  // included), not one per request.
+  Server server(live_server_config());
+  server.start();
+  FrontConfig config;
+  config.upstreams = {{"127.0.0.1", server.port()}};
+  config.workers = 4;
+  config.health = inert_health();
+  Front front(std::move(config));
+  front.start();
+
+  upa::serve::Client client;
+  client.connect("127.0.0.1", front.port());
+  for (std::uint64_t id = 0; id < 200; ++id) {
+    ASSERT_TRUE(client.call("ping", upa::serve::Json(), id).ok()) << id;
+  }
+  client.close();
+  EXPECT_LE(server.stats().accepted, 4u);
+  EXPECT_EQ(server.stats().admitted, 201u);  // the probe's ping, too
+  front.stop();
+  server.stop();
+}
+
+TEST(DispatchFront, StalePooledConnectionReconnectsWithoutTransportFailure) {
+  // The upstream restarts on the same port, so the front's pooled
+  // connection is closed under it. The next request reconnects within
+  // its attempt: no transport failure, no retry.
+  auto first = std::make_unique<Server>(live_server_config());
+  first->start();
+  const std::uint16_t port = first->port();
+  FrontConfig config;
+  config.upstreams = {{"127.0.0.1", port}};
+  config.workers = 2;
+  config.health = inert_health();
+  Front front(std::move(config));
+  front.start();
+
+  upa::serve::Client client;
+  client.connect("127.0.0.1", front.port());
+  ASSERT_TRUE(client.call("ping", upa::serve::Json(), 1).ok());
+  first->stop();
+  first.reset();
+  Server second(live_server_config(2, 8, port));
+  second.start();
+
+  const upa::serve::CallResult r = client.call("ping", upa::serve::Json(), 2);
+  EXPECT_TRUE(r.ok()) << r.error_message;
+  client.close();
+  const upa::dispatch::FrontStats stats = front.stats();
+  EXPECT_EQ(stats.forwarded_ok, 2u);
+  EXPECT_EQ(stats.forwarded_transport, 0u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(front.upstreams()[0].transport, 0u);
+  EXPECT_EQ(second.stats().admitted, 1u);
+  front.stop();
+  second.stop();
+}
+
 // --- Kill schedules from FaultPlans --------------------------------------
 
 TEST(DispatchFarmSchedule, MapsFaultPlanWindowsOntoReplicas) {
@@ -528,8 +588,7 @@ TEST(DispatchFarmSchedule, RejectsOverlapsAndEmptyPlans) {
 }
 
 // --- Live farm: kill -9 failover vs the composite model ------------------
-// Not in the Dispatch* (TSan) suites: spawns real processes and measures
-// a timed loss fraction.
+// Spawns real processes and measures a timed loss fraction.
 
 // --- Distributed tracing through the front -------------------------------
 

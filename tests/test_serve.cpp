@@ -3,17 +3,16 @@
 // and the M/M/i/K dogfood -- the measured rejection fraction of the
 // server itself must match the paper's eq. (3) loss probability.
 //
-// Naming note: the ServeDispatcher / ServeServer suites run under the
-// ThreadSanitizer CI job (its ctest regex includes "Serve").
-// LoadgenLossMeasurement deliberately does NOT match that regex: a
-// statistical timing experiment under TSan's ~10x slowdown would
-// measure the sanitizer, not the server.
+// Naming note: every suite here runs under the ThreadSanitizer CI job
+// (its ctest regex includes "Serve", "Subscribe" and "Loadgen"), so the
+// reactor and its workers are raced there too.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -569,9 +568,9 @@ using Daemons = ::testing::Types<ServedDaemon, FrontedDaemon>;
 TYPED_TEST_SUITE(ServeDaemon, Daemons);
 
 TYPED_TEST(ServeDaemon, AdmissionControlRejectsWhenFull) {
-  // i = 1, K = 1: with one connection holding the single slot, the next
-  // connection must receive the pre-built 503 line without the acceptor
-  // ever reading its request.
+  // i = 1, K = 1: with one request holding the single slot, the next
+  // connection's request line must receive the pre-built 503 line
+  // without the handler ever running for it.
   TypeParam held(1, 1);
   auto& server = held.daemon;
   server.start();
@@ -600,12 +599,12 @@ TYPED_TEST(ServeDaemon, AdmissionControlRejectsWhenFull) {
   holder.join();
   server.stop();
   const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.admitted, 1u);
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.max_in_system, 1u);
 
-  // After the rejection, an admitted connection still works: the 503
-  // path never wedges the acceptor.
+  // After the rejection, an admitted request still works: the 503 path
+  // never wedges the reactor.
   TypeParam fresh(1, 1);
   fresh.daemon.start();
   Client ok;
@@ -655,8 +654,6 @@ TEST(ServeServer, RequestDeadlineTightensButNeverExtends) {
       R"( "params": {"seconds": 0.01}, "deadline_ms": 5000})");
   EXPECT_TRUE(upa::serve::classify_response(ok_line).ok());
 
-  // Close before stop: a drain waits out an idle kept-alive connection
-  // for the full read timeout otherwise.
   client.close();
   server.stop();
 }
@@ -729,9 +726,9 @@ TYPED_TEST(ServeDaemon, DrainTerminatesAgainstBusyKeepAliveClient) {
 }
 
 TEST(ServeServer, DrainIsPromptAfterBlankLine) {
-  // A blank line is a line read: it ends the connection's unparked first
-  // read, so the next read is parked and stop() wakes it at once instead
-  // of waiting out the 3 s read timeout.
+  // A blank line is read but never answered: the connection stays idle
+  // with nothing in the system, so stop() closes it at once instead of
+  // waiting out the 3 s read timeout.
   ServerConfig config = loopback_config(1, 2);
   config.read_timeout_seconds = 3.0;
   Server server(std::move(config));
@@ -782,18 +779,111 @@ TEST(ServeConnectionServer, FakeHandlerSeesEachLineWithItsContext) {
 
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0].first, "a");
-  EXPECT_TRUE(seen[0].second.first_request);
   EXPECT_EQ(seen[0].second.conn, 1u);
   EXPECT_EQ(seen[0].second.seq, 0u);
-  EXPECT_LE(seen[0].second.admitted, seen[0].second.line_read);
-  EXPECT_FALSE(seen[1].second.first_request);
+  EXPECT_LE(seen[0].second.admitted, seen[0].second.dequeued);
   EXPECT_EQ(seen[1].second.seq, 1u);
   EXPECT_EQ(seen[2].first, "c");
-  EXPECT_FALSE(seen[2].second.first_request);  // the blank line was first
   EXPECT_EQ(seen[2].second.conn, 2u);
   EXPECT_EQ(seen[2].second.seq, 0u);
   EXPECT_EQ(server.stats().accepted, 2u);
-  EXPECT_EQ(server.stats().completed, 2u);
+  EXPECT_EQ(server.stats().completed, 3u);
+}
+
+/// A ConnectionServer with i workers and room for K requests whose
+/// handler echoes each line, except "hold", which blocks until release().
+class GatedEcho {
+ public:
+  GatedEcho(std::size_t workers, std::size_t capacity)
+      : server_(config(workers, capacity),
+                [this](const std::string& line,
+                       const upa::serve::RequestContext&) {
+                  if (line != "hold") return "echo " + line;
+                  std::unique_lock<std::mutex> lock(mutex_);
+                  released_cv_.wait(lock, [this] { return released_; });
+                  return std::string("held");
+                }) {
+    server_.start();
+  }
+  ~GatedEcho() {
+    release();
+    server_.stop();
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    released_cv_.notify_all();
+  }
+  upa::serve::ConnectionServer& server() { return server_; }
+
+ private:
+  static upa::serve::ConnectionServerConfig config(std::size_t workers,
+                                                   std::size_t capacity) {
+    upa::serve::ConnectionServerConfig config;
+    config.workers = workers;
+    config.capacity = capacity;
+    config.reject_message = [](std::size_t k) {
+      return "full at " + std::to_string(k);
+    };
+    return config;
+  }
+  std::mutex mutex_;
+  std::condition_variable released_cv_;
+  bool released_ = false;
+  upa::serve::ConnectionServer server_;
+};
+
+TEST(ServeConnectionServer, IdleKeepAliveConnectionsHoldNoSlot) {
+  // i = 1, K = 1: K bounds requests, not connections. Five kept-alive
+  // connections, each served once and now idle, leave the single slot
+  // free for a sixth connection's request.
+  GatedEcho echo(1, 1);
+  const std::uint16_t port = echo.server().port();
+  std::vector<Client> idle(5);
+  for (std::size_t k = 0; k < idle.size(); ++k) {
+    idle[k].connect("127.0.0.1", port);
+    EXPECT_EQ(idle[k].call_line("idle"), "echo idle") << "connection " << k;
+  }
+  Client sixth;
+  sixth.connect("127.0.0.1", port);
+  EXPECT_EQ(sixth.call_line("sixth"), "echo sixth");
+  const upa::serve::ConnectionStats stats = echo.server().stats();
+  EXPECT_EQ(stats.accepted, 6u);
+  EXPECT_EQ(stats.admitted, 6u);
+  EXPECT_EQ(stats.rejected, 0u);
+}
+
+TEST(ServeConnectionServer, FullSystemRejectsTheLineAndKeepsTheConnection) {
+  // i = 1, K = 1 with the slot held: a line that finds the system full
+  // gets the 503 envelope and its handler never runs, but the connection
+  // stays open, and its next line is served once the holder finishes.
+  GatedEcho echo(1, 1);
+  const std::uint16_t port = echo.server().port();
+  std::thread holder([&] {
+    Client c;
+    c.connect("127.0.0.1", port);
+    EXPECT_EQ(c.call_line("hold"), "held");
+  });
+  ASSERT_TRUE(poll_until([&] { return echo.server().stats().in_system == 1; }));
+
+  Client client;
+  client.connect("127.0.0.1", port);
+  const CallResult rejected =
+      upa::serve::classify_response(client.call_line("first"));
+  EXPECT_EQ(rejected.outcome, CallOutcome::kRejected);
+  EXPECT_EQ(rejected.code, ErrorCode::kQueueFull);
+  EXPECT_EQ(rejected.error_message, "full at 1");
+
+  echo.release();
+  holder.join();
+  EXPECT_EQ(client.call_line("second"), "echo second");
+  const upa::serve::ConnectionStats stats = echo.server().stats();
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.max_in_system, 1u);
 }
 
 TEST(ServeServer, KeepAliveRequestsGetFreshDeadlineBudgets) {
@@ -962,13 +1052,17 @@ TEST(ServeTrace, ServerParentsSpansOnPropagatedContext) {
   EXPECT_EQ(trace_id, "00000000000000ab");
   EXPECT_DOUBLE_EQ(parent_span, 7.0);
   EXPECT_DOUBLE_EQ(code, 200.0);
-  // admission_wait (first request on the connection), handler, serialize.
+  // queue_wait, handler, serialize.
   EXPECT_EQ(phases, 3u);
+  std::vector<std::string> phase_names;
   for (const upa::obs::Span& span : spans) {
     if (span.level == upa::obs::SpanLevel::kServePhase) {
       EXPECT_EQ(span.parent, root->id);
+      phase_names.push_back(span.name);
     }
   }
+  EXPECT_EQ(phase_names,
+            (std::vector<std::string>{"queue_wait", "handler", "serialize"}));
 }
 
 TEST(ServeTrace, ResponsesAreByteIdenticalWithTracingOffOrOn) {
@@ -1097,8 +1191,8 @@ double number_at(const Json* section, const std::string& name) {
 }
 
 /// Subscribes to a daemon and returns its first metrics tick in which
-/// every admitted connection, the subscriber's own included, has
-/// completed: an idle tick, whose values no longer move.
+/// every admitted request has completed: an idle tick, whose values no
+/// longer move.
 Json idle_tick(std::uint16_t port, const std::string& prefix) {
   Client subscriber;
   subscriber.connect("127.0.0.1", port, 5.0, 10.0);
@@ -1110,7 +1204,7 @@ Json idle_tick(std::uint16_t port, const std::string& prefix) {
     if (line.find("telemetry")->as_string() != "metrics") continue;
     const Json* counters = line.find("counters");
     if (number_at(counters, prefix + ".completed") ==
-            number_at(counters, prefix + ".accepted") &&
+            number_at(counters, prefix + ".admitted") &&
         number_at(line.find("gauges"), prefix + ".in_system") == 0.0) {
       return line;
     }
@@ -1151,6 +1245,7 @@ TEST(Subscribe, StreamCarriesEveryStatsField) {
   const upa::serve::ServerStats s = server.stats();
   const std::map<std::string, double> totals = {
       {"accepted", d(s.accepted)},
+      {"admitted", d(s.admitted)},
       {"rejected", d(s.rejected)},
       {"completed", d(s.completed)},
       {"requests", d(s.requests)},
@@ -1230,7 +1325,7 @@ TEST(Subscribe, StreamCarriesEveryStatsField) {
   server.stop();
 }
 
-// --- The dogfood experiment (kept OUT of the TSan regex on purpose) ------
+// --- The dogfood experiment ---------------------------------------------
 
 TEST(LoadgenLossMeasurement, MatchesAnalyticMmckLoss) {
   // lambda = 300/s against i = 2 workers at nu = 100/s with K = 4: the
@@ -1271,7 +1366,7 @@ TEST(LoadgenLossMeasurement, MatchesAnalyticMmckLoss) {
 
   // The server's own books agree with the client's.
   const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted + stats.rejected,
+  EXPECT_EQ(stats.admitted + stats.rejected,
             static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(result.rejected));
   EXPECT_LE(stats.max_in_system, kCapacity);

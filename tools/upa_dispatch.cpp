@@ -44,9 +44,12 @@ void print_usage(std::ostream& os) {
         "                          consistent-hash (default\n"
         "                          least-outstanding)\n"
         "  --workers N             forwarding threads (default 16)\n"
-        "  --max-clients N         admitted client connections\n"
+        "  --max-clients N         client requests queued + forwarding;\n"
+        "                          a line beyond it gets a 503\n"
         "                          (default 256)\n"
-        "  --read-timeout S        client idle timeout (default 10)\n"
+        "  --read-timeout S        close a client connection idle this\n"
+        "                          long, or leaving a response unread\n"
+        "                          this long (default 10)\n"
         "  --connect-timeout S     per-attempt upstream connect timeout\n"
         "                          (default 1)\n"
         "  --call-timeout S        per-attempt upstream response timeout\n"

@@ -33,18 +33,22 @@ void print_usage(std::ostream& os) {
         "Serves the travel-agency evaluators as newline-delimited JSON\n"
         "RPC over TCP. Request handling is the paper's M/M/i/K model:\n"
         "--workers threads (i) drain one bounded queue and --capacity (K)\n"
-        "bounds admitted connections; on overflow a connection gets an\n"
-        "immediate 503 envelope. SIGINT/SIGTERM drains and exits 0.\n"
+        "bounds the requests in the system; a request line that finds K\n"
+        "gets an immediate 503 envelope and its connection stays open.\n"
+        "Idle keep-alive connections hold no slot. SIGINT/SIGTERM drains\n"
+        "and exits 0.\n"
         "\n"
         "options:\n"
         "  --bind ADDR        bind address        (default 127.0.0.1)\n"
         "  --port N           TCP port, 0 = ephemeral (default 7077)\n"
         "  --workers N        worker threads, the model's i (default 2)\n"
-        "  --capacity N       admitted-connection cap, the model's K;\n"
-        "                     must be >= workers (default 8)\n"
+        "  --capacity N       requests queued + in service, the model's\n"
+        "                     K; must be >= workers (default 8)\n"
         "  --deadline-ms N    per-request deadline from admission,\n"
         "                     0 = off (default 0)\n"
-        "  --read-timeout S   idle keep-alive recv timeout (default 10)\n"
+        "  --read-timeout S   close a connection idle this long between\n"
+        "                     requests, or leaving a response unread\n"
+        "                     this long (default 10)\n"
         "  --cache MODE       evaluation cache: on | off (default on)\n"
         "  --cache-dir DIR    persistent cache tier: pre-warm from DIR's\n"
         "                     segments at startup and write-behind new\n"
@@ -58,7 +62,7 @@ void print_usage(std::ostream& os) {
         "                     replica lacks, 0 = off (default 0;\n"
         "                     requires --peers and --cache on)\n"
         "  --trace            record per-request server-side spans\n"
-        "                     (serve_request + admission/queue/handler/\n"
+        "                     (serve_request + queue_wait/handler/\n"
         "                     serialize phases) for the subscribe stream\n"
         "  --process NAME     telemetry process label\n"
         "                     (default upa_served:<port>)\n"
@@ -203,6 +207,7 @@ int main(int argc, char** argv) {
 
     const serve::ServerStats stats = server.stats();
     std::cout << "upa_served: done. accepted=" << stats.accepted
+              << " admitted=" << stats.admitted
               << " rejected=" << stats.rejected
               << " completed=" << stats.completed
               << " requests=" << stats.requests
