@@ -1,14 +1,24 @@
 // Kernel timings: the numerical engines under the reproduction (dense LU
 // steady state vs iterative uniformized power iteration, birth-death
 // closed form, BDD compilation, GSPN reachability, absorbing-chain
-// analysis, the user-level conditioning kernel). No paper table here --
-// this bench characterizes the library itself.
+// analysis, the user-level conditioning kernel) and the evaluation
+// cache's fixed cost per lookup (hit, miss, and miss with a disk tier
+// appending). No paper table here -- this bench characterizes the
+// library itself.
+
+#include <stdlib.h>
 
 #include <array>
+#include <cstdint>
+#include <filesystem>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "bench_util.hpp"
+#include "upa/cache/eval_cache.hpp"
+#include "upa/cache/persist.hpp"
+#include "upa/core/web_farm.hpp"
 #include "upa/faulttree/bdd.hpp"
 #include "upa/linalg/lu.hpp"
 #include "upa/markov/birth_death.hpp"
@@ -174,6 +184,81 @@ void bm_category_breakdown(benchmark::State& state) {
   state.SetLabel(upa::ta::user_class_name(uclass));
 }
 BENCHMARK(bm_category_breakdown)->Arg(0)->Arg(1);
+
+/// The memo layer's fixed cost, measured on what a memoized solver pays
+/// around its solve: the key of the design sweep's imperfect-coverage
+/// chain (N_W = 4, 9 states) built from the chain each time, plus one
+/// get_or_compute. The compute returns a precomputed distribution, so a
+/// miss times the cache, not the LU solve (bm_ctmc_steady_dense does).
+/// A cold solve is only worth memoizing when it costs more than
+/// bm_cache_hit.
+struct CacheBenchChain {
+  CacheBenchChain()
+      : chain(upa::core::imperfect_coverage_chain(
+                  upa::core::WebFarmParams{4, 1e-3, 1.0, 0.98, 12.0})
+                  .chain),
+        pi(chain.steady_state()) {}
+
+  /// `unique` > 0 appends a distinguishing word, so every call misses.
+  [[nodiscard]] upa::cache::CacheKey key(std::uint64_t unique = 0) const {
+    upa::cache::KeyBuilder kb("markov.steady_state", 1);
+    chain.append_cache_key(kb);
+    if (unique > 0) kb.add(unique);
+    return std::move(kb).finish();
+  }
+
+  um::Ctmc chain;
+  ul::Vector pi;
+};
+
+void bm_cache_hit(benchmark::State& state) {
+  const CacheBenchChain bench;
+  upa::cache::EvalCache cache;
+  (void)cache.get_or_compute<ul::Vector>(bench.key(), [&] { return bench.pi; });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.get_or_compute<ul::Vector>(
+        bench.key(), [&] { return bench.pi; }));
+  }
+}
+BENCHMARK(bm_cache_hit);
+
+void bm_cache_miss(benchmark::State& state) {
+  const CacheBenchChain bench;
+  upa::cache::EvalCache cache;
+  std::uint64_t unique = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.get_or_compute<ul::Vector>(
+        bench.key(++unique), [&] { return bench.pi; }));
+  }
+}
+BENCHMARK(bm_cache_miss);
+
+/// bm_cache_miss with a PersistentCache attached on a fresh temporary
+/// directory: every miss also probes the (empty) disk tier and appends
+/// one record to the active segment.
+void bm_cache_miss_persisted(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  std::string dir = (fs::temp_directory_path() / "upa_bench_miss_XXXXXX");
+  if (mkdtemp(dir.data()) == nullptr) {
+    state.SkipWithError("mkdtemp failed");
+    return;
+  }
+  const CacheBenchChain bench;
+  {
+    upa::cache::EvalCache cache;
+    upa::cache::PersistentCache tier(cache, dir);
+    std::uint64_t unique = 0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(cache.get_or_compute<ul::Vector>(
+          bench.key(++unique), [&] { return bench.pi; }));
+    }
+    state.counters["records_appended"] =
+        static_cast<double>(tier.stats().records_appended);
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+BENCHMARK(bm_cache_miss_persisted);
 
 }  // namespace
 

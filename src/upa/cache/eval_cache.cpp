@@ -106,62 +106,65 @@ EvalCache::EvalCache(Config config)
               "cache shards must hold at least one entry");
 }
 
-void EvalCache::complete_insert(Shard& shard, const std::string& bytes) {
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.stats.inserts;
-  shard.completed_order.push_back(bytes);
-  // Evict oldest completed entries past the cap. In-flight entries are
-  // not in completed_order, so a running computation is never cancelled.
-  while (shard.completed_order.size() - shard.next_eviction >
-         max_entries_per_shard_) {
-    shard.entries.erase(shard.completed_order[shard.next_eviction]);
-    ++shard.next_eviction;
-    ++shard.stats.evictions;
+void EvalCache::count_lookup(Shard& shard, const std::string& solver_id,
+                             Outcome outcome) {
+  auto it = std::find_if(
+      shard.solvers.begin(), shard.solvers.end(),
+      [&](const SolverCounts& s) { return s.solver_id == solver_id; });
+  if (it == shard.solvers.end()) {
+    it = shard.solvers.insert(shard.solvers.end(),
+                              SolverCounts{solver_id, CacheStats{}});
   }
-  // Compact the order log once the evicted prefix dominates.
-  if (shard.next_eviction > max_entries_per_shard_) {
-    shard.completed_order.erase(
-        shard.completed_order.begin(),
-        shard.completed_order.begin() +
-            static_cast<std::ptrdiff_t>(shard.next_eviction));
-    shard.next_eviction = 0;
+  for (CacheStats* s : {&shard.stats, &it->stats}) {
+    switch (outcome) {
+      case Outcome::kHit: ++s->hits; break;
+      case Outcome::kDiskHit: ++s->disk_hits; break;
+      case Outcome::kMiss: ++s->misses; break;
+    }
   }
 }
 
-void EvalCache::abandon_insert(Shard& shard, const std::string& bytes) {
+void EvalCache::push_completed(Shard& shard, const EntryKey* key) {
+  ++shard.stats.inserts;
+  shard.completed_order.push_back(key);
+  // Evict oldest completed entries past the cap. In-flight entries are
+  // not in completed_order, so a running computation is never cancelled.
+  while (shard.completed_order.size() > max_entries_per_shard_) {
+    shard.entries.erase(shard.entries.find(*shard.completed_order.front()));
+    shard.completed_order.pop_front();
+    ++shard.stats.evictions;
+  }
+}
+
+void EvalCache::complete_insert(Shard& shard, Slot slot,
+                                const std::string& solver_id,
+                                Outcome outcome) {
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  count_lookup(shard, solver_id, outcome);
+  // A clear() since the publish dropped the in-flight entry: the value
+  // still reached this caller and its waiters, but there is no slot left
+  // to log for eviction.
+  if (slot.generation == shard.generation) push_completed(shard, slot.key);
+}
+
+void EvalCache::abandon_insert(Shard& shard, Slot slot,
+                               const std::string& solver_id) {
   // The computation threw: remove the in-flight entry so a later call
   // retries instead of replaying the exception forever.
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.entries.erase(bytes);
-}
-
-void EvalCache::count_shard_outcome(Shard& shard, Outcome outcome) {
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  switch (outcome) {
-    case Outcome::kHit: ++shard.stats.hits; break;
-    case Outcome::kDiskHit: ++shard.stats.disk_hits; break;
-    case Outcome::kMiss: ++shard.stats.misses; break;
+  count_lookup(shard, solver_id, Outcome::kMiss);
+  if (slot.generation == shard.generation) {
+    shard.entries.erase(shard.entries.find(*slot.key));
   }
 }
 
-void EvalCache::record_lookup(const std::string& solver_id, Outcome outcome,
-                              obs::Observer* ob) {
-  {
-    std::lock_guard<std::mutex> lock(solver_mutex_);
-    CacheStats& s = solver_stats_[solver_id];
-    switch (outcome) {
-      case Outcome::kHit: ++s.hits; break;
-      case Outcome::kDiskHit: ++s.disk_hits; break;
-      case Outcome::kMiss: ++s.misses; break;
-    }
-  }
-  if (ob != nullptr) {
-    const bool hit = outcome != Outcome::kMiss;
-    ob->metrics.counter(hit ? "cache.hits" : "cache.misses").add();
-    ob->metrics
-        .counter("cache." + solver_id + (hit ? ".hits" : ".misses"))
-        .add();
-  }
+void EvalCache::observe_lookup(const std::string& solver_id, Outcome outcome,
+                               obs::Observer* ob) {
+  if (ob == nullptr) return;
+  const bool hit = outcome != Outcome::kMiss;
+  ob->metrics.counter(hit ? "cache.hits" : "cache.misses").add();
+  ob->metrics.counter("cache." + solver_id + (hit ? ".hits" : ".misses"))
+      .add();
 }
 
 bool EvalCache::seed(const CacheKey& key, StoredValue value) {
@@ -171,13 +174,11 @@ bool EvalCache::seed(const CacheKey& key, StoredValue value) {
   promise.set_value(std::move(value));
   StoredFuture future = promise.get_future().share();
   Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto [it, inserted] = shard.entries.emplace(key.bytes,
-                                                      Entry{future});
-    if (!inserted) return false;
-  }
-  complete_insert(shard, key.bytes);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  if (shard.entries.find(key) != shard.entries.end()) return false;
+  const auto inserted =
+      shard.entries.emplace(EntryKey{key.bytes, key.digest}, Entry{future});
+  push_completed(shard, &inserted.first->first);
   return true;
 }
 
@@ -185,7 +186,7 @@ std::vector<EvalCache::SnapshotEntry> EvalCache::snapshot() const {
   std::vector<SnapshotEntry> out;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [bytes, entry] : shard.entries) {
+    for (const auto& [key, entry] : shard.entries) {
       if (entry.future.wait_for(std::chrono::seconds(0)) !=
           std::future_status::ready) {
         continue;  // in-flight computation; nothing to export yet
@@ -195,7 +196,7 @@ std::vector<EvalCache::SnapshotEntry> EvalCache::snapshot() const {
       // abandon_insert before anyone could snapshot them, but guard
       // anyway so a torn race cannot abort an export.
       try {
-        out.push_back(SnapshotEntry{bytes, entry.future.get()});
+        out.push_back(SnapshotEntry{key.bytes, entry.future.get()});
       } catch (...) {
       }
     }
@@ -207,38 +208,62 @@ std::vector<EvalCache::SnapshotEntry> EvalCache::snapshot() const {
   return out;
 }
 
-CacheStats EvalCache::stats() const {
-  // All shard locks are taken before any counter is read (always in
-  // shard order, so two concurrent stats() calls cannot deadlock).
-  // Locking shards one at a time would let a lookup on an
-  // already-summed shard race ahead of one on a not-yet-summed shard,
-  // so hit + miss totals could disagree with the number of lookups the
-  // caller performed -- visible as off-by-a-few totals under the
-  // eight-thread hammer test.
+namespace {
+
+/// Every shard lock, taken in shard order (so two concurrent readers
+/// cannot deadlock) and held together: locking shards one at a time
+/// would let a lookup on an already-summed shard race ahead of one on a
+/// not-yet-summed shard, so hit + miss totals could disagree with the
+/// number of lookups the caller performed -- visible as off-by-a-few
+/// totals under the eight-thread hammer test.
+template <typename Shards>
+std::vector<std::unique_lock<std::mutex>> lock_all(const Shards& shards) {
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const Shard& shard : shards_) locks.emplace_back(shard.mutex);
+  locks.reserve(shards.size());
+  for (const auto& shard : shards) locks.emplace_back(shard.mutex);
+  return locks;
+}
+
+void add_lookups(CacheStats& total, const CacheStats& s) {
+  total.hits += s.hits;
+  total.disk_hits += s.disk_hits;
+  total.misses += s.misses;
+}
+
+}  // namespace
+
+CacheStats EvalCache::stats() const {
+  const auto locks = lock_all(shards_);
   CacheStats total;
   for (const Shard& shard : shards_) {
-    total.hits += shard.stats.hits;
-    total.disk_hits += shard.stats.disk_hits;
-    total.misses += shard.stats.misses;
+    add_lookups(total, shard.stats);
     total.inserts += shard.stats.inserts;
     total.evictions += shard.stats.evictions;
   }
   return total;
 }
 
+std::map<std::string, CacheStats> EvalCache::sum_solver_stats() const {
+  const auto locks = lock_all(shards_);
+  std::map<std::string, CacheStats> total;
+  for (const Shard& shard : shards_) {
+    for (const SolverCounts& s : shard.solvers) {
+      add_lookups(total[s.solver_id], s.stats);
+    }
+  }
+  return total;
+}
+
 CacheStats EvalCache::solver_stats(const std::string& solver_id) const {
-  std::lock_guard<std::mutex> lock(solver_mutex_);
-  const auto it = solver_stats_.find(solver_id);
-  return it == solver_stats_.end() ? CacheStats{} : it->second;
+  const auto total = sum_solver_stats();
+  const auto it = total.find(solver_id);
+  return it == total.end() ? CacheStats{} : it->second;
 }
 
 std::vector<std::pair<std::string, CacheStats>> EvalCache::per_solver_stats()
     const {
-  std::lock_guard<std::mutex> lock(solver_mutex_);
-  return {solver_stats_.begin(), solver_stats_.end()};
+  const auto total = sum_solver_stats();
+  return {total.begin(), total.end()};
 }
 
 std::size_t EvalCache::size() const {
@@ -270,20 +295,18 @@ void EvalCache::clear() {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.entries.clear();
     shard.completed_order.clear();
-    shard.next_eviction = 0;
     shard.stats = CacheStats{};
+    shard.solvers.clear();
+    ++shard.generation;
   }
-  std::lock_guard<std::mutex> lock(solver_mutex_);
-  solver_stats_.clear();
 }
 
 void EvalCache::reset_stats() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.stats = CacheStats{};
+    shard.solvers.clear();
   }
-  std::lock_guard<std::mutex> lock(solver_mutex_);
-  solver_stats_.clear();
 }
 
 namespace {

@@ -14,25 +14,35 @@
 // key on every parameter that affects the result, and every key embeds a
 // solver id plus a version tag so a formula change invalidates stale
 // entries by construction. Keys compare by their full canonical byte
-// string (the 64-bit digest only picks the shard and pre-filters), so a
-// digest collision can never replay the wrong result.
+// string; the 64-bit digest the key carries picks the shard and the
+// bucket and pre-filters, so a probe never copies or rehashes the key
+// bytes, and a digest collision can never replay the wrong result.
 //
 // Concurrency: the table is lock-striped into shards, and lookups are
 // single-flight -- when several threads race on the same fresh key,
 // exactly one runs the computation while the rest wait on its future and
-// count as hits. This composes with the exec layer's deterministic
-// fan-out: values are pure functions of their key, so which worker
-// computes first never changes what anyone reads.
+// count as hits. Every count a lookup makes (whole-cache and per-solver)
+// lives in its shard and is updated under the one shard lock the lookup
+// holds anyway; readers sum the shards. This composes with the exec
+// layer's deterministic fan-out: values are pure functions of their key,
+// so which worker computes first never changes what anyone reads.
+//
+// Only memoize a computation whose cold cost exceeds a warm hit (a few
+// microseconds: a key build, a shard lock, a future copy). Cheaper
+// kernels, such as the O(K) M/M/i/K loss recurrence, run uncached and
+// are covered by the entry of the model that calls them.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <typeinfo>
 #include <unordered_map>
@@ -175,9 +185,11 @@ class EvalCache {
   /// the first caller's in-flight computation (exactly one underlying
   /// solve per distinct key) and count as hits. If `compute` throws, the
   /// exception propagates to every waiter and the entry is removed so a
-  /// later call retries. When `ob` is non-null, one wall-domain
-  /// `cache_lookup` span (attr `hit` = 0/1) and cache.hit/miss counters
-  /// are recorded into it.
+  /// later call retries. A hit is counted in the lock hold that finds
+  /// the entry; a miss or disk hit in the one that completes it (or, for
+  /// a throwing compute, removes it). When `ob` is non-null, one
+  /// wall-domain `cache_lookup` span (attr `hit` = 0/1) and
+  /// cache.hit/miss counters are recorded into it.
   template <typename T, typename Fn>
   [[nodiscard]] std::shared_ptr<const T> get_or_compute(
       const CacheKey& key, Fn&& compute, obs::Observer* ob = nullptr) {
@@ -185,22 +197,24 @@ class EvalCache {
                              obs::SpanLevel::kCacheLookup, key.solver_id);
     Shard& shard = shard_for(key);
     StoredFuture future;
-    std::promise<Stored> promise;
-    bool fresh = false;
+    std::optional<std::promise<Stored>> promise;  // only a miss allocates
+    Slot slot;
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      auto it = shard.entries.find(key.bytes);
-      if (it == shard.entries.end()) {
-        fresh = true;
-        future = promise.get_future().share();
-        shard.entries.emplace(key.bytes, Entry{future});
-      } else {
+      const auto it = shard.entries.find(key);
+      if (it != shard.entries.end()) {
         future = it->second.future;
-        ++shard.stats.hits;
+        count_lookup(shard, key.solver_id, Outcome::kHit);
+      } else {
+        promise.emplace();
+        const auto inserted = shard.entries.emplace(
+            EntryKey{key.bytes, key.digest},
+            Entry{promise->get_future().share()});
+        slot = Slot{&inserted.first->first, shard.generation};
       }
     }
-    if (!fresh) {
-      record_lookup(key.solver_id, Outcome::kHit, ob);
+    if (!promise) {
+      observe_lookup(key.solver_id, Outcome::kHit, ob);
       span.attr("hit", 1.0);
       const Stored stored = future.get();  // may rethrow the first miss
       UPA_ASSERT(*stored.type == typeid(T));
@@ -221,10 +235,9 @@ class EvalCache {
       }
       if (found && from_disk.value != nullptr && from_disk.type != nullptr &&
           *from_disk.type == typeid(T)) {
-        promise.set_value(from_disk);
-        complete_insert(shard, key.bytes);
-        count_shard_outcome(shard, Outcome::kDiskHit);
-        record_lookup(key.solver_id, Outcome::kDiskHit, ob);
+        promise->set_value(from_disk);
+        complete_insert(shard, slot, key.solver_id, Outcome::kDiskHit);
+        observe_lookup(key.solver_id, Outcome::kDiskHit, ob);
         span.attr("hit", 1.0);
         // No sink: the value came FROM persistence; re-appending it
         // would grow the directory on every warm replay.
@@ -232,20 +245,19 @@ class EvalCache {
       }
     }
 
-    count_shard_outcome(shard, Outcome::kMiss);
-    record_lookup(key.solver_id, Outcome::kMiss, ob);
+    observe_lookup(key.solver_id, Outcome::kMiss, ob);
     span.attr("hit", 0.0);
     try {
       auto value = std::make_shared<const T>(compute());
-      promise.set_value(Stored{value, &typeid(T)});
-      complete_insert(shard, key.bytes);
+      promise->set_value(Stored{value, &typeid(T)});
+      complete_insert(shard, slot, key.solver_id, Outcome::kMiss);
       if (CacheSink* sink = sink_.load(std::memory_order_acquire)) {
         sink->on_insert(key, Stored{value, &typeid(T)});
       }
       return value;
     } catch (...) {
-      promise.set_exception(std::current_exception());
-      abandon_insert(shard, key.bytes);
+      promise->set_exception(std::current_exception());
+      abandon_insert(shard, slot, key.solver_id);
       throw;
     }
   }
@@ -316,36 +328,89 @@ class EvalCache {
 
   enum class Outcome { kHit, kDiskHit, kMiss };
 
+  /// A stored key: its canonical bytes (the identity) next to the
+  /// digest its CacheKey carried in, so the table never rehashes bytes.
+  struct EntryKey {
+    std::string bytes;
+    std::uint64_t digest = 0;
+  };
+
+  /// Buckets by the precomputed digest. Transparent, like KeyEqual, so
+  /// find() probes with the caller's CacheKey and never copies its bytes.
+  struct DigestHash {
+    using is_transparent = void;
+    std::size_t operator()(const EntryKey& k) const noexcept {
+      return static_cast<std::size_t>(k.digest);
+    }
+    std::size_t operator()(const CacheKey& k) const noexcept {
+      return static_cast<std::size_t>(k.digest);
+    }
+  };
+
+  /// Identity is the full bytes; the digest test only skips the byte
+  /// compare for bucket neighbours, so a digest collision never aliases.
+  struct KeyEqual {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.digest == b.digest && a.bytes == b.bytes;
+    }
+  };
+
   struct Entry {
     StoredFuture future;
   };
 
+  /// Lookup counts of one solver id within one shard.
+  struct SolverCounts {
+    std::string solver_id;
+    CacheStats stats;
+  };
+
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> entries;
-    /// Completed keys in insertion order (in-flight keys are absent, so
-    /// eviction can never cancel a running computation).
-    std::vector<std::string> completed_order;
-    std::size_t next_eviction = 0;  ///< completed_order read cursor
+    std::unordered_map<EntryKey, Entry, DigestHash, KeyEqual> entries;
+    /// Completed entries oldest first, as pointers to their keys inside
+    /// `entries` (its nodes never move, so the log holds no key copy).
+    /// In-flight entries are absent, so eviction can never cancel a
+    /// running computation.
+    std::deque<const EntryKey*> completed_order;
     CacheStats stats;
+    /// Per-solver counts, updated under the lock a lookup already holds
+    /// and summed across shards on read. A handful of solver ids, so a
+    /// linear scan beats any keyed map.
+    std::vector<SolverCounts> solvers;
+    /// Bumped by clear(): an in-flight Slot from an older generation may
+    /// point at a dropped entry and is never dereferenced.
+    std::uint64_t generation = 0;
+  };
+
+  /// The in-flight entry a miss published, carried to its completion.
+  struct Slot {
+    const EntryKey* key = nullptr;
+    std::uint64_t generation = 0;
   };
 
   [[nodiscard]] Shard& shard_for(const CacheKey& key) noexcept {
     return shards_[key.digest % shards_.size()];
   }
-  void complete_insert(Shard& shard, const std::string& bytes);
-  void abandon_insert(Shard& shard, const std::string& bytes);
-  void count_shard_outcome(Shard& shard, Outcome outcome);
-  void record_lookup(const std::string& solver_id, Outcome outcome,
-                     obs::Observer* ob);
+  // count_lookup and push_completed expect the shard lock held;
+  // complete_insert and abandon_insert take it.
+  static void count_lookup(Shard& shard, const std::string& solver_id,
+                           Outcome outcome);
+  void push_completed(Shard& shard, const EntryKey* key);
+  void complete_insert(Shard& shard, Slot slot, const std::string& solver_id,
+                       Outcome outcome);
+  void abandon_insert(Shard& shard, Slot slot, const std::string& solver_id);
+  static void observe_lookup(const std::string& solver_id, Outcome outcome,
+                             obs::Observer* ob);
+  /// Sums the per-solver counts of every shard (all shard locks held).
+  [[nodiscard]] std::map<std::string, CacheStats> sum_solver_stats() const;
 
   std::size_t max_entries_per_shard_;
   std::vector<Shard> shards_;
   std::atomic<CacheSink*> sink_{nullptr};
   std::atomic<CacheSource*> source_{nullptr};
-
-  mutable std::mutex solver_mutex_;
-  std::map<std::string, CacheStats> solver_stats_;  // guarded by solver_mutex_
 };
 
 /// The process-wide cache consulted by the analytic entry points

@@ -76,7 +76,44 @@ bool seed_record(EvalCache& cache, const SegmentRecord& record,
   return true;
 }
 
+/// Fibonacci hashing: spreads a digest's bits over the slot index.
+std::size_t digest_slot(std::uint64_t digest, std::size_t mask) {
+  return static_cast<std::size_t>((digest * 0x9e3779b97f4a7c15ULL) >> 32) &
+         mask;
+}
+
 }  // namespace
+
+bool DigestSet::insert(std::uint64_t digest) {
+  if (digest == 0) {
+    if (has_zero_) return false;
+    has_zero_ = true;
+    ++size_;
+    return true;
+  }
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = digest_slot(digest, mask);; i = (i + 1) & mask) {
+    if (slots_[i] == digest) return false;
+    if (slots_[i] == 0) {
+      slots_[i] = digest;
+      ++size_;
+      return true;
+    }
+  }
+}
+
+void DigestSet::grow() {
+  std::vector<std::uint64_t> old = std::move(slots_);
+  slots_.assign(std::max<std::size_t>(16, 2 * old.size()), 0);
+  const std::size_t mask = slots_.size() - 1;
+  for (const std::uint64_t digest : old) {
+    if (digest == 0) continue;
+    std::size_t i = digest_slot(digest, mask);
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = digest;
+  }
+}
 
 DirectoryLock::DirectoryLock(const std::string& directory) {
   const std::string path =
@@ -222,9 +259,9 @@ bool PersistentCache::lookup(const CacheKey& key, StoredValue* out) {
   return false;
 }
 
-void PersistentCache::append_record(const std::string& type_tag,
-                                    const std::string& key_bytes,
-                                    const std::string& value_bytes) {
+void PersistentCache::append_record(std::string_view type_tag,
+                                    std::string_view key_bytes,
+                                    std::string_view value_bytes) {
   // Callers hold mutex_. The active segment is named after the process
   // so sequential runs sharing a directory never clobber each other's
   // file; a suffix probe handles pid reuse across runs. (Concurrent
@@ -240,7 +277,7 @@ void PersistentCache::append_record(const std::string& type_tag,
       }
       active_ = std::make_unique<SegmentFile>(path);
     }
-    active_->append(SegmentRecord{type_tag, key_bytes, value_bytes});
+    active_->append(type_tag, key_bytes, value_bytes);
     ++stats_.records_appended;
   } catch (const std::exception&) {
     // An unwritable tier must never take the workload down; the value
@@ -259,8 +296,8 @@ void PersistentCache::on_insert(const CacheKey& key,
   // consulted via their sorted indexes; the hash set only tracks keys
   // THIS process appended or imported.
   if (digest_on_disk(key.digest)) return;
-  if (!persisted_digests_.insert(key.digest).second) return;
-  append_record(std::string(codec->type_tag), key.bytes,
+  if (!persisted_digests_.insert(key.digest)) return;
+  append_record(codec->type_tag, key.bytes,
                 codec->serialize(value.value.get()));
 }
 
@@ -286,7 +323,7 @@ ImportStats PersistentCache::import_blob(std::string_view segment_bytes) {
                            const std::uint64_t digest =
                                key_digest(record.key_bytes);
                            if (!digest_on_disk(digest) &&
-                               persisted_digests_.insert(digest).second) {
+                               persisted_digests_.insert(digest)) {
                              const std::uint64_t before =
                                  stats_.records_appended;
                              append_record(record.type_tag,

@@ -12,10 +12,15 @@
 //
 // The instance is also the cache's insert sink, so every freshly
 // computed value is write-behind-appended to a per-process active
-// segment; a key already persisted is never appended twice, so
-// re-running a workload leaves the directory the same size. (Dedupe is
-// by key digest, not full key bytes -- a collision merely skips one
-// append, never corrupts a value.)
+// segment: one frame encoded into a reused buffer and written with one
+// pwrite(2) per record, so a kill -9 loses at most the record in flight
+// (records are never batched across appends). A key already persisted
+// is never appended twice, so re-running a workload leaves the
+// directory the same size. Dedupe is by key digest, not full key bytes
+// -- a collision merely skips one append, never corrupts a value: the
+// sealed segments' sorted indexes answer for what earlier processes
+// wrote, and a flat open-addressing DigestSet (no allocation per
+// insert) for what this process appended or imported.
 //
 // Maintenance: start_maintenance() runs background compaction -- when
 // the directory holds enough sealed segments they are merged
@@ -45,7 +50,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "upa/cache/compact.hpp"
@@ -116,6 +120,24 @@ struct ImportStats {
   std::uint64_t records_appended = 0;   ///< persisted to the active segment
 };
 
+/// Insert-only set of 64-bit key digests: open addressing with linear
+/// probing over one flat array that doubles at half load, so an insert
+/// allocates nothing except on growth. Slot value 0 marks an empty slot;
+/// digest 0 itself is tracked by a flag.
+class DigestSet {
+ public:
+  /// True when `digest` was absent (and is now present).
+  bool insert(std::uint64_t digest);
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  void grow();
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t size_ = 0;
+  bool has_zero_ = false;
+};
+
 class PersistentCache final : public CacheSink, public CacheSource {
  public:
   /// Creates `directory` when missing, attaches its segments, and
@@ -169,9 +191,8 @@ class PersistentCache final : public CacheSink, public CacheSource {
   /// digest hash set at attach time (which would dwarf the index load
   /// at 10^5+ records). Caller holds mutex_.
   [[nodiscard]] bool digest_on_disk(std::uint64_t digest) const;
-  void append_record(const std::string& type_tag,
-                     const std::string& key_bytes,
-                     const std::string& value_bytes);
+  void append_record(std::string_view type_tag, std::string_view key_bytes,
+                     std::string_view value_bytes);
 
   EvalCache& cache_;
   std::string directory_;
@@ -183,7 +204,7 @@ class PersistentCache final : public CacheSink, public CacheSource {
   std::vector<AttachedSegment> segments_;  // replay order
   /// Digests THIS process appended or imported; sealed segments
   /// are consulted through their sorted indexes (digest_on_disk).
-  std::unordered_set<std::uint64_t> persisted_digests_;
+  DigestSet persisted_digests_;
   PersistStats stats_;
 
   std::mutex maintenance_mutex_;

@@ -107,17 +107,39 @@ std::string segment_header(std::uint32_t format_version,
   return out;
 }
 
+namespace {
+
+/// Writes `value` little-endian over the 4 bytes at `at`.
+void store_u32(char* at, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    at[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+}  // namespace
+
+void append_encoded_record(std::string& out, std::string_view type_tag,
+                           std::string_view key_bytes,
+                           std::string_view value_bytes) {
+  const std::size_t payload_size =
+      24 + type_tag.size() + key_bytes.size() + value_bytes.size();
+  const std::size_t frame = out.size();
+  out.reserve(frame + 8 + payload_size);
+  ByteWriter w(std::move(out));
+  w.put_u64(0);  // length + CRC, filled in once the payload is there
+  w.put_string(type_tag);
+  w.put_string(key_bytes);
+  w.put_string(value_bytes);
+  out = std::move(w).take();
+  store_u32(out.data() + frame, static_cast<std::uint32_t>(payload_size));
+  store_u32(out.data() + frame + 4,
+            crc32(std::string_view(out).substr(frame + 8, payload_size)));
+}
+
 std::string encode_record(const SegmentRecord& record) {
-  ByteWriter payload;
-  payload.put_string(record.type_tag);
-  payload.put_string(record.key_bytes);
-  payload.put_string(record.value_bytes);
-  const std::string body = std::move(payload).take();
-  ByteWriter frame;
-  frame.put_u32(static_cast<std::uint32_t>(body.size()));
-  frame.put_u32(crc32(body));
-  std::string out = std::move(frame).take();
-  out += body;
+  std::string out;
+  append_encoded_record(out, record.type_tag, record.key_bytes,
+                        record.value_bytes);
   return out;
 }
 
@@ -314,33 +336,52 @@ bool load_segment_file(
 }
 
 SegmentFile::SegmentFile(std::string path) : path_(std::move(path)) {
-  file_ = std::fopen(path_.c_str(), "wb");
-  UPA_REQUIRE(file_ != nullptr, "cannot create cache segment '" + path_ +
-                                    "': " + std::strerror(errno));
-  const std::string header = segment_header();
-  const bool ok =
-      std::fwrite(header.data(), 1, header.size(), file_) == header.size() &&
-      std::fflush(file_) == 0;
-  if (!ok) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw common::ModelError("cannot write cache segment header to '" +
-                             path_ + "'");
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+               0666);
+  UPA_REQUIRE(fd_ >= 0, "cannot create cache segment '" + path_ +
+                            "': " + std::strerror(errno));
+  try {
+    write_frame(segment_header());
+  } catch (...) {
+    ::close(fd_);
+    fd_ = -1;
+    throw;
   }
 }
 
 SegmentFile::~SegmentFile() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
-void SegmentFile::append(const SegmentRecord& record) {
-  UPA_REQUIRE(file_ != nullptr,
+void SegmentFile::write_frame(std::string_view bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ::ssize_t n =
+        ::pwrite(fd_, bytes.data() + done, bytes.size() - done,
+                 static_cast<::off_t>(size_ + done));
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      const int error = n < 0 ? errno : EIO;
+      // Cut the partial frame off so the next append starts on a record
+      // boundary instead of behind unparseable bytes.
+      (void)::ftruncate(fd_, static_cast<::off_t>(size_));
+      throw common::ModelError("cannot write to cache segment '" + path_ +
+                               "': " + std::strerror(error));
+    }
+  }
+  size_ += bytes.size();
+}
+
+void SegmentFile::append(std::string_view type_tag, std::string_view key_bytes,
+                         std::string_view value_bytes) {
+  UPA_REQUIRE(fd_ >= 0,
               "cache segment '" + path_ + "' is not open for append");
-  const std::string frame = encode_record(record);
-  const bool ok =
-      std::fwrite(frame.data(), 1, frame.size(), file_) == frame.size() &&
-      std::fflush(file_) == 0;
-  UPA_REQUIRE(ok, "cannot append to cache segment '" + path_ + "'");
+  buffer_.clear();
+  append_encoded_record(buffer_, type_tag, key_bytes, value_bytes);
+  write_frame(buffer_);
   ++records_;
 }
 

@@ -32,11 +32,11 @@
 //    kill -9 mid-append leaves behind -- ends the parse silently; the
 //    bytes before it all load.
 //
-// Appends flush after every record, so the only unreadable suffix a
+// Each append hands its whole frame to the kernel in one pwrite(2) before
+// it returns (no user-space buffer), so the only unreadable suffix a
 // crash can leave is the one record being written.
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -69,6 +69,12 @@ struct SegmentRecord {
 
 /// One framed record: payload length + CRC + payload.
 [[nodiscard]] std::string encode_record(const SegmentRecord& record);
+
+/// Appends the same frame to `out`, encoded straight from the three
+/// fields with no intermediate strings.
+void append_encoded_record(std::string& out, std::string_view type_tag,
+                           std::string_view key_bytes,
+                           std::string_view value_bytes);
 
 /// Decodes one CRC-valid record payload (the bytes a frame wraps);
 /// false when it is structurally wrong -- same bucket as corruption.
@@ -142,8 +148,10 @@ bool load_segment_file(
     const std::function<void(SegmentRecord&&)>& on_record);
 
 /// The active segment a process appends to: created eagerly with a
-/// fresh header, appended record by record with a flush after each so a
-/// kill -9 loses at most the record in flight.
+/// fresh header, then appended record by record. Each record is encoded
+/// into one reused buffer and written with one pwrite(2) call (retried on
+/// short writes) before append returns, so a kill -9 loses at most the
+/// record in flight.
 class SegmentFile {
  public:
   /// Creates `path` (truncating any stale file of the same name) and
@@ -155,9 +163,13 @@ class SegmentFile {
   SegmentFile(const SegmentFile&) = delete;
   SegmentFile& operator=(const SegmentFile&) = delete;
 
-  /// Appends one framed record and flushes. Throws ModelError on write
-  /// failure (disk full, ...).
-  void append(const SegmentRecord& record);
+  /// Appends one framed record. Throws ModelError on write failure
+  /// (disk full, ...) after cutting any partial frame off the file.
+  void append(std::string_view type_tag, std::string_view key_bytes,
+              std::string_view value_bytes);
+  void append(const SegmentRecord& record) {
+    append(record.type_tag, record.key_bytes, record.value_bytes);
+  }
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::uint64_t records_written() const noexcept {
@@ -165,8 +177,13 @@ class SegmentFile {
   }
 
  private:
+  /// Writes `bytes` at the end of the file, retrying short writes.
+  void write_frame(std::string_view bytes);
+
   std::string path_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
+  std::uint64_t size_ = 0;  ///< bytes written: where the next frame goes
+  std::string buffer_;      ///< reused frame encoding buffer
   std::uint64_t records_ = 0;
 };
 

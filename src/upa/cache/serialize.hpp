@@ -22,6 +22,7 @@
 #include <string>
 #include <string_view>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "upa/cache/eval_cache.hpp"
@@ -31,6 +32,11 @@ namespace upa::cache {
 /// Append-only little-endian byte encoder.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Appends after the bytes already in `buffer` (and reuses its
+  /// capacity); take() hands the whole buffer back.
+  explicit ByteWriter(std::string buffer) : bytes_(std::move(buffer)) {}
+
   void put_u8(std::uint8_t value) {
     bytes_.push_back(static_cast<char>(value));
   }

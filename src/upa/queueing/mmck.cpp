@@ -46,15 +46,6 @@ std::vector<double> weights(double rho, std::size_t servers,
   return w;
 }
 
-double mmck_loss_probability_uncached(double alpha, double nu,
-                                      std::size_t servers,
-                                      std::size_t capacity) {
-  const double rho = alpha / nu;
-  const std::vector<double> w = weights(rho, servers, capacity);
-  const double total = upa::common::kahan_sum(w);
-  return w[capacity] / total;
-}
-
 MmckMetrics mmck_metrics_uncached(double alpha, double nu,
                                   std::size_t servers, std::size_t capacity);
 
@@ -63,17 +54,11 @@ MmckMetrics mmck_metrics_uncached(double alpha, double nu,
 double mmck_loss_probability(double alpha, double nu, std::size_t servers,
                              std::size_t capacity) {
   check_args(alpha, nu, servers, capacity);
-  if (!cache::enabled()) {
-    return mmck_loss_probability_uncached(alpha, nu, servers, capacity);
-  }
-  cache::KeyBuilder kb("queueing.mmck_loss", 1);
-  kb.add(alpha)
-      .add(nu)
-      .add(static_cast<std::uint64_t>(servers))
-      .add(static_cast<std::uint64_t>(capacity));
-  return *cache::global().get_or_compute<double>(std::move(kb).finish(), [&] {
-    return mmck_loss_probability_uncached(alpha, nu, servers, capacity);
-  });
+  // Never memoized: this O(K) recurrence runs in less time than a warm
+  // cache hit costs, and a cache entry per call would make every
+  // composite miss pay N_W extra lookups and disk appends.
+  const std::vector<double> w = weights(alpha / nu, servers, capacity);
+  return w[capacity] / upa::common::kahan_sum(w);
 }
 
 MmckMetrics mmck_metrics(double alpha, double nu, std::size_t servers,

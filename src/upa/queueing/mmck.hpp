@@ -25,8 +25,10 @@ struct MmckMetrics {
 /// Loss probability p_K(c) of M/M/c/K (paper eq. 3; reduces to eq. 1 for
 /// c = 1). Stable for any rho; the running product-form weight is
 /// rescaled in-loop (exact power-of-two factors), so even extreme
-/// rho/capacity combinations (rho ~ 1e3, K ~ 1e4) stay finite. Consults
-/// the evaluation cache when cache::set_enabled is on.
+/// rho/capacity combinations (rho ~ 1e3, K ~ 1e4) stay finite. Never
+/// consults the evaluation cache: the O(K) recurrence is cheaper than a
+/// cache hit, so callers that memoize (the composite and closed-form
+/// availabilities) cache their own result instead.
 [[nodiscard]] double mmck_loss_probability(double alpha, double nu,
                                            std::size_t servers,
                                            std::size_t capacity);

@@ -175,6 +175,44 @@ TEST(EvalCache, FifoEvictionRespectsCapacity) {
   EXPECT_EQ(computes, 4);
 }
 
+TEST(EvalCache, DigestCollisionNeverAliases) {
+  // Two keys with different bytes forced onto the same digest: the
+  // digest picks the shard and bucket, but identity is the full bytes.
+  const cache::CacheKey a = key_of(1.0);
+  cache::CacheKey b = key_of(2.0);
+  ASSERT_NE(a.bytes, b.bytes);
+  b.digest = a.digest;
+
+  cache::EvalCache::Config config;
+  config.shards = 1;
+  config.max_entries_per_shard = 2;
+  cache::EvalCache ec(config);
+  int computes = 0;
+  const auto value_of = [&](const cache::CacheKey& key, double value) {
+    return *ec.get_or_compute<double>(key, [&] {
+      ++computes;
+      return value;
+    });
+  };
+  EXPECT_EQ(value_of(a, 10.0), 10.0);
+  EXPECT_EQ(value_of(b, 20.0), 20.0);
+  EXPECT_EQ(computes, 2);  // the collision did not replay a's value for b
+  EXPECT_EQ(value_of(a, -1.0), 10.0);
+  EXPECT_EQ(value_of(b, -1.0), 20.0);
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(ec.size(), 2u);
+
+  // A third key evicts the oldest (a); its digest twin b stays servable.
+  EXPECT_EQ(value_of(key_of(3.0), 30.0), 30.0);
+  EXPECT_EQ(ec.stats().evictions, 1u);
+  const auto must_hit = []() -> double {
+    throw ModelError("b was evicted along with its digest twin");
+  };
+  EXPECT_EQ(*ec.get_or_compute<double>(b, must_hit), 20.0);
+  EXPECT_EQ(value_of(a, 11.0), 11.0);  // a recomputes: it really was gone
+  EXPECT_EQ(computes, 4);
+}
+
 TEST(EvalCache, PublishesMetricsAndRecordsLookupSpans) {
   cache::EvalCache ec;
   upa::obs::Observer ob;
@@ -321,6 +359,40 @@ TEST(CachedSolvers, MmckMetricsReplayBitForBit) {
   EXPECT_EQ(uncached.state_probabilities, first.state_probabilities);
   EXPECT_EQ(first.blocking, replay.blocking);
   EXPECT_EQ(first.state_probabilities, replay.state_probabilities);
+}
+
+TEST(CachedSolvers, CompositeMemoizesOnlyTheChain) {
+  // The p_K(i) loss sub-solve is an O(K) recurrence, cheaper than a
+  // cache hit, so it runs uncached; the coverage chain's steady state is
+  // the composite's one memoized lookup.
+  const upa::core::WebFarmParams farm{4, 1e-3, 1.0, 0.98, 12.0};
+  const upa::core::WebQueueParams queue{300.0, 100.0, 12};
+  const auto perfect_off =
+      upa::core::composite_perfect(farm, queue).breakdown();
+  const auto imperfect_off =
+      upa::core::composite_imperfect(farm, queue).breakdown();
+
+  cache::global().clear();
+  cache::ScopedEnable on;
+  const auto perfect = upa::core::composite_perfect(farm, queue).breakdown();
+  EXPECT_EQ(cache::global().stats().lookups(), 1u);
+  EXPECT_EQ(cache::global().solver_stats("markov.steady_state").misses, 1u);
+  const auto imperfect =
+      upa::core::composite_imperfect(farm, queue).breakdown();
+  EXPECT_EQ(cache::global().stats().lookups(), 2u);
+  EXPECT_EQ(cache::global().solver_stats("markov.steady_state").misses, 2u);
+
+  EXPECT_EQ(perfect.availability, perfect_off.availability);
+  EXPECT_EQ(perfect.performance_loss, perfect_off.performance_loss);
+  EXPECT_EQ(perfect.downtime_loss, perfect_off.downtime_loss);
+  EXPECT_EQ(imperfect.availability, imperfect_off.availability);
+  EXPECT_EQ(imperfect.performance_loss, imperfect_off.performance_loss);
+  EXPECT_EQ(imperfect.downtime_loss, imperfect_off.downtime_loss);
+
+  const auto rows = cache::global().per_solver_stats();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].first, "markov.steady_state");
+  EXPECT_EQ(cache::global().solver_stats("queueing.mmck_loss").lookups(), 0u);
 }
 
 /// The acceptance matrix: the Figure 11/12-style availability sweep must

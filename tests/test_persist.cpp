@@ -176,6 +176,48 @@ TEST(PersistSegment, SegmentFileAppendsAreReadBack) {
   EXPECT_EQ(stats.segments_loaded, 1u);
 }
 
+// Pins segment.hpp's durability contract: an append is on the file (not
+// in a user-space buffer) by the time it returns, so a kill -9 right
+// after it loses nothing -- at most the record still in flight.
+TEST(PersistSegment, EachAppendIsReadableWhenItReturns) {
+  TempDir tmp;
+  const std::string path = tmp.dir + "/active.upaseg";
+  cache::SegmentFile file(path);
+  for (int n = 1; n <= 5; ++n) {
+    const std::string big_value(static_cast<std::size_t>(n) * 1000, 'v');
+    file.append({"f64", key_of(double(n)).bytes,
+                 n % 2 == 0 ? big_value : double_value_bytes(10.0 * n)});
+    cache::SegmentLoadStats stats;
+    std::vector<cache::SegmentRecord> records;
+    EXPECT_TRUE(cache::load_segment_file(
+        path, stats,
+        [&](cache::SegmentRecord&& r) { records.push_back(std::move(r)); }));
+    ASSERT_EQ(records.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(stats.torn_tail_bytes, 0u);
+    EXPECT_EQ(stats.records_skipped_crc, 0u);
+    for (int i = 1; i <= n; ++i) {
+      EXPECT_EQ(records[static_cast<std::size_t>(i - 1)].key_bytes,
+                key_of(double(i)).bytes);
+    }
+  }
+}
+
+TEST(PersistDigestSet, InsertReportsNoveltyAcrossGrowth) {
+  cache::DigestSet set;
+  // Digest 0 is the empty-slot marker inside the table, so it takes the
+  // side path; the rest span several doublings of the flat array.
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  for (std::uint64_t d = 1; d <= 1000; ++d) {
+    EXPECT_TRUE(set.insert(d * 0x10001ULL)) << d;
+  }
+  for (std::uint64_t d = 1; d <= 1000; ++d) {
+    EXPECT_FALSE(set.insert(d * 0x10001ULL)) << d;
+  }
+  EXPECT_TRUE(set.insert(~0ULL));
+  EXPECT_EQ(set.size(), 1002u);
+}
+
 TEST(PersistKeyBytes, CanonicalBytesReconstructTheKey) {
   cache::KeyBuilder kb("markov.steady_state", 3);
   kb.add(-0.0).add(std::uint64_t{7}).add(std::string("ab"));
