@@ -1,7 +1,16 @@
 #include "upa/dispatch/front.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <future>
 #include <optional>
 #include <random>
 #include <utility>
@@ -44,6 +53,70 @@ std::optional<serve::Json> try_parse(const std::string& line) {
 
 }  // namespace
 
+struct Front::Link {
+  Link(std::size_t upstream, std::uint64_t pool_generation)
+      : index(upstream), generation(pool_generation) {}
+  ~Link() {
+    if (fd >= 0) ::close(fd);
+  }
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
+
+  std::size_t index;        ///< its upstream
+  std::uint64_t generation; ///< its pool's generation when it was opened
+  int fd = -1;
+  Forward* forward = nullptr;  ///< the attempt it carries; null in the pool
+  bool connecting = false;     ///< a non-blocking connect is under way
+  bool want_out = false;       ///< watched for EPOLLOUT: a write is short
+  std::string in;              ///< response bytes read so far
+};
+
+/// Its timers and its link's watcher hold its address: it lives in
+/// forwards_ from make_forward() until it is delivered.
+struct Front::Forward {
+  Forward() = default;
+  Forward(const Forward&) = delete;
+  Forward& operator=(const Forward&) = delete;
+
+  std::string line;  ///< the client's line, forwarded verbatim
+  std::optional<serve::Json> request;
+  bool parsed = false;  ///< `request` holds the line's one parse
+  std::uint64_t conn = 0;
+  std::uint64_t seq = 0;
+  /// A client request's completion token; null for forward_line, whose
+  /// waiter is `done`.
+  void* token = nullptr;
+  std::function<void(ForwardResult)> done;
+  std::list<Forward>::iterator self;
+  bool launching = false;  ///< inside launch(): finish() only marks it
+  bool finished = false;
+
+  bool record = false;  ///< trace this request
+  std::string method = "?";
+  serve::TraceContext context;
+  Clock::time_point begin;
+  std::vector<std::size_t> order;  ///< the balancer's preference order
+  std::size_t attempt_no = 0;
+  ForwardResult out;
+  std::vector<TracedAttempt> traced;
+
+  // The attempt in flight.
+  TracedAttempt span;
+  std::string attempt_line;  ///< with its trace context and '\n'
+  std::size_t sent = 0;      ///< bytes of attempt_line the link took
+  std::unique_ptr<Link> link;
+  bool pooled = false;  ///< the link came from the pool (the stale rule)
+  serve::ConnectionServer::TimerId timer;  ///< deadline, then backoff
+
+  const std::optional<serve::Json>& parsed_request() {
+    if (!parsed) {
+      request = try_parse(line);
+      parsed = true;
+    }
+    return request;
+  }
+};
+
 Front::Front(FrontConfig config)
     : config_(std::move(config)),
       pool_(config_.upstreams),
@@ -55,6 +128,7 @@ Front::Front(FrontConfig config)
               .port = config_.port,
               .workers = config_.workers,
               .capacity = config_.max_clients,
+              .handle_on_reactor = true,
               .read_timeout_seconds = config_.read_timeout_seconds,
               .telemetry_process = config_.telemetry_process,
               .process_kind = "upa_dispatch",
@@ -91,9 +165,13 @@ Front::Front(FrontConfig config)
   UPA_REQUIRE(config_.retry.jitter >= 0.0 && config_.retry.jitter <= 1.0,
               "RetryConfig.jitter must be in [0, 1]");
   check_health_config(config_.health);
-  idle_.resize(pool_.size());
+  pools_.resize(pool_.size());
+  // The probes block on the checker's own thread; the pool it closes is
+  // the reactor's.
   health_ = std::make_unique<HealthChecker>(
-      pool_, config_.health, [this](std::size_t index) { close_pool(index); });
+      pool_, config_.health, [this](std::size_t index) {
+        connections_.post([this, index] { close_pool(index); });
+      });
   latency_by_outcome_.reserve(kOutcomeCount);
   for (std::size_t i = 0; i < kOutcomeCount; ++i) {
     latency_by_outcome_.emplace_back(obs::geometric_buckets(1e-4, 2.0, 18));
@@ -127,7 +205,13 @@ void Front::stop() {
   std::lock_guard<std::mutex> lock(start_stop_mutex_);
   connections_.stop();
   health_->stop();
-  for (std::size_t i = 0; i < idle_.size(); ++i) close_pool(i);
+  // The reactor is gone: a forward_line still in flight is abandoned (its
+  // waiter sees a broken promise), and every upstream socket closes.
+  forwards_.clear();
+  for (Pool& pool : pools_) {
+    pool.idle.clear();
+    ++pool.generation;
+  }
 }
 
 FrontStats Front::stats() const {
@@ -225,87 +309,359 @@ std::uint64_t Front::dropped_spans() const {
   return tracer_.dropped();
 }
 
-ForwardAttempt Front::attempt_once(std::size_t index,
-                                   const std::string& line,
-                                   std::string& response_out) {
-  const UpstreamAddress& address = pool_.address(index);
+Front::Forward& Front::make_forward(const std::string& line,
+                                   std::optional<serve::Json> request,
+                                   std::uint64_t conn, std::uint64_t seq) {
+  Forward& f = forwards_.emplace_back();
+  f.self = std::prev(forwards_.end());
+  f.line = line;
+  f.parsed = request.has_value() || config_.trace ||
+             balancer_.policy() == BalancePolicy::kConsistentHash;
+  f.request = request ? std::move(request)
+                      : f.parsed ? try_parse(line) : std::nullopt;
+  f.conn = conn;
+  f.seq = seq;
+  f.begin = Clock::now();
+
+  // Trace setup. Balancer affinity and the exhausted envelope always use
+  // the ORIGINAL client line; only the per-attempt upstream line is
+  // rewritten with a trace context. A malformed incoming `trace` member
+  // is forwarded verbatim and recorded as nothing -- the upstream's
+  // dispatcher produces the canonical 400 envelope for it.
+  if (config_.trace && f.request && f.request->is_object()) {
+    if (const serve::Json* m = f.request->find("method");
+        m != nullptr && m->is_string()) {
+      f.method = m->as_string();
+    }
+    try {
+      if (const std::optional<serve::TraceContext> incoming =
+              serve::parse_trace_context(*f.request)) {
+        f.context = *incoming;  // forward the client's trace decision
+        f.record = f.context.sampled;
+      } else {
+        f.context.trace_id = serve::make_trace_id(
+            trace_origin_base_ + origin_serial_.fetch_add(1) + 1);
+        f.context.span_id = 0;
+        f.context.sampled = true;
+        f.record = true;
+      }
+    } catch (const common::ModelError&) {
+      f.record = false;
+    }
+  }
+
+  // Only consistent-hash reads the key; the others skip building it.
+  std::string key;
+  if (balancer_.policy() == BalancePolicy::kConsistentHash) {
+    key = f.request ? affinity_key(*f.request, line) : line;
+  }
+  f.order = balancer_.pick(key);
+  return f;
+}
+
+bool Front::launch(Forward& f) {
+  f.launching = true;
+  begin_attempt(f);
+  f.launching = false;
+  return f.finished;
+}
+
+void Front::begin_attempt(Forward& f) {
+  // Walk the balancer's preference order: healthy replicas first, so for
+  // budget <= N every retry lands on a different, untried replica; past
+  // N the walk wraps (better a repeat than a give-up).
+  const std::size_t index = f.order[f.attempt_no % f.order.size()];
   pool_.begin_call(index);
-  const Clock::time_point begin = Clock::now();
-  ForwardAttempt attempt;
-  attempt.upstream_index = index;
-  std::uint64_t generation = 0;
-  serve::Client client = checkout(index, generation);
+  f.span = TracedAttempt{};
+  f.span.upstream_index = index;
+  f.span.begin = Clock::now();
+  if (f.record) {
+    // Each attempt gets a fresh span reference: the upstream's
+    // serve_request span parents on exactly this attempt, so a retry
+    // that lands on another replica stays distinguishable.
+    f.span.ref = span_ref_.fetch_add(1);
+    f.attempt_line = serve::with_trace_context(
+        *f.request, serve::TraceContext{f.context.trace_id, f.span.ref, true});
+  } else {
+    f.attempt_line = f.line;
+  }
+  f.attempt_line.push_back('\n');
+  f.sent = 0;
+
+  Pool& pool = pools_[index];
+  if (pool.idle.empty()) {
+    connect_link(f);
+    return;
+  }
+  f.link = std::move(pool.idle.back());
+  pool.idle.pop_back();
+  f.link->forward = &f;
+  f.pooled = true;
+  arm_deadline(f, config_.upstream_call_timeout_seconds);
+  (void)write_request(f);
+}
+
+void Front::arm_deadline(Forward& f, double seconds) {
+  f.timer = connections_.after(seconds, [&f, this] {
+    close_link(std::move(f.link));
+    attempt_ended(f, AttemptOutcome::kTransport, {});
+  });
+}
+
+void Front::connect_link(Forward& f) {
+  const std::size_t index = f.span.upstream_index;
+  const UpstreamAddress& address = pool_.address(index);
+  f.pooled = false;
+  f.sent = 0;
+  auto link = std::make_unique<Link>(index, pools_[index].generation);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(address.port);
+  // SOCK_CLOEXEC: a replica the farm orchestrator forks must not inherit
+  // the front's upstream sockets.
+  link->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  int rc = -1;
+  if (link->fd >= 0 &&
+      ::inet_pton(AF_INET, address.host.c_str(), &addr.sin_addr) == 1) {
+    const int one = 1;
+    ::setsockopt(link->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    rc = ::connect(link->fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+    link->connecting = rc != 0 && errno == EINPROGRESS;
+  }
+  Link* raw = link.get();
+  if ((rc != 0 && !raw->connecting) ||
+      !connections_.watch(raw->fd, raw->connecting ? EPOLLOUT : EPOLLIN,
+                          [this, raw](std::uint32_t events) {
+                            on_link_ready(*raw, events);
+                          })) {
+    attempt_ended(f, AttemptOutcome::kTransport, {});  // refused at once
+    return;
+  }
+  raw->forward = &f;
+  f.link = std::move(link);
+  if (raw->connecting) {
+    arm_deadline(f, config_.upstream_connect_timeout_seconds);
+  } else {
+    arm_deadline(f, config_.upstream_call_timeout_seconds);
+    (void)write_request(f);
+  }
+}
+
+bool Front::write_request(Forward& f) {
+  Link& link = *f.link;
+  while (f.sent < f.attempt_line.size()) {
+    const ssize_t n = ::send(link.fd, f.attempt_line.data() + f.sent,
+                             f.attempt_line.size() - f.sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      f.sent += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (!link.want_out) {
+        link.want_out = true;
+        connections_.rewatch(link.fd, EPOLLIN | EPOLLOUT);
+      }
+      return true;
+    } else {
+      link_broke(f, errno == EPIPE || errno == ECONNRESET);
+      return false;
+    }
+  }
+  if (link.want_out) {
+    link.want_out = false;
+    connections_.rewatch(link.fd, EPOLLIN);
+  }
+  return true;
+}
+
+void Front::on_link_ready(Link& link, std::uint32_t events) {
+  if (link.forward == nullptr) {
+    // Idle in its pool and readable: the upstream closed it (or sent
+    // bytes nobody asked for). Either way it cannot carry a request.
+    std::vector<std::unique_ptr<Link>>& idle = pools_[link.index].idle;
+    const auto it = std::find_if(idle.begin(), idle.end(), [&](const auto& l) {
+      return l.get() == &link;
+    });
+    if (it != idle.end()) {
+      std::unique_ptr<Link> dead = std::move(*it);
+      idle.erase(it);
+      close_link(std::move(dead));
+    }
+    return;
+  }
+  Forward& f = *link.forward;
+  if (link.connecting) {
+    int error = 0;
+    socklen_t length = sizeof error;
+    ::getsockopt(link.fd, SOL_SOCKET, SO_ERROR, &error, &length);
+    if (error != 0) {
+      connections_.cancel(f.timer);
+      close_link(std::move(f.link));
+      attempt_ended(f, AttemptOutcome::kTransport, {});
+      return;
+    }
+    if ((events & EPOLLOUT) == 0) return;
+    link.connecting = false;
+    connections_.rewatch(link.fd, EPOLLIN);
+    connections_.cancel(f.timer);
+    arm_deadline(f, config_.upstream_call_timeout_seconds);
+    (void)write_request(f);
+    return;
+  }
+  if ((events & EPOLLOUT) != 0 && f.sent < f.attempt_line.size() &&
+      !write_request(f)) {
+    return;
+  }
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) read_response(f);
+}
+
+void Front::read_response(Forward& f) {
+  Link& link = *f.link;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(link.fd, chunk, sizeof chunk, 0);
+    if (n > 0) {
+      const std::size_t from = link.in.size();
+      link.in.append(chunk, static_cast<std::size_t>(n));
+      // A whole line is the answer, whatever follows it.
+      if (static_cast<std::size_t>(n) < sizeof chunk ||
+          link.in.find('\n', from) != std::string::npos) {
+        break;
+      }
+    } else if (n == 0) {
+      link_broke(f, link.in.empty());
+      return;
+    } else if (errno == EINTR) {
+      continue;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;
+    } else {
+      link_broke(f, link.in.empty() && errno == ECONNRESET);
+      return;
+    }
+  }
+  const std::size_t newline = link.in.find('\n');
+  if (newline == std::string::npos) return;
+  std::string response(link.in, 0, newline);
+  if (!response.empty() && response.back() == '\r') response.pop_back();
+  // Bytes past the one response line would be misread as the next
+  // request's answer: such a connection is not pooled again.
+  const bool clean = link.in.size() == newline + 1;
+  link.in.clear();
+  const AttemptOutcome outcome =
+      from_call_outcome(serve::classify_response(response).outcome);
+  connections_.cancel(f.timer);
+  if (clean) {
+    pool_link(std::move(f.link));
+  } else {
+    close_link(std::move(f.link));
+  }
+  attempt_ended(f, outcome, std::move(response));
+}
+
+void Front::link_broke(Forward& f, bool before_response) {
+  connections_.cancel(f.timer);
+  close_link(std::move(f.link));
   // A pooled connection the upstream closed while it sat idle fails
   // before any response byte: one fresh connect retries the line within
   // this attempt. Anything else is the attempt's transport failure.
-  for (bool pooled = client.connected();; pooled = false) {
-    try {
-      if (!pooled) {
-        client.connect(address.host, address.port,
-                       config_.upstream_connect_timeout_seconds,
-                       config_.upstream_call_timeout_seconds);
-      }
-      response_out = client.call_line(line);
-      attempt.outcome =
-          from_call_outcome(serve::classify_response(response_out).outcome);
-      checkin(index, std::move(client), generation);
-      break;
-    } catch (const std::exception&) {
-      const bool stale = pooled && client.closed_before_response();
-      client.close();
-      response_out.clear();
-      if (!stale) break;
-    }
+  if (f.pooled && before_response) {
+    connect_link(f);
+  } else {
+    attempt_ended(f, AttemptOutcome::kTransport, {});
   }
-  const double latency = seconds_between(begin, Clock::now());
-  pool_.end_call(index, attempt.outcome, latency);
+}
+
+void Front::attempt_ended(Forward& f, AttemptOutcome outcome,
+                          std::string response) {
+  const std::size_t index = f.span.upstream_index;
+  f.span.end = Clock::now();
+  f.span.outcome = outcome;
+  const double latency = seconds_between(f.span.begin, f.span.end);
+  pool_.end_call(index, outcome, latency);
   {
     std::lock_guard<std::mutex> lock(latency_mutex_);
-    latency_by_outcome_[static_cast<std::size_t>(attempt.outcome)].record(
-        latency);
+    latency_by_outcome_[static_cast<std::size_t>(outcome)].record(latency);
     latency_by_upstream_[index].record(latency);
   }
-  return attempt;
-}
+  f.out.attempts.push_back(ForwardAttempt{index, outcome});
+  if (f.record) f.traced.push_back(f.span);
 
-serve::Client Front::checkout(std::size_t index, std::uint64_t& generation) {
-  std::lock_guard<std::mutex> lock(idle_mutex_);
-  IdleClients& idle = idle_[index];
-  generation = idle.generation;
-  if (idle.clients.empty()) return serve::Client();
-  serve::Client client = std::move(idle.clients.back());
-  idle.clients.pop_back();
-  return client;
-}
-
-void Front::checkin(std::size_t index, serve::Client client,
-                    std::uint64_t generation) {
-  std::lock_guard<std::mutex> lock(idle_mutex_);
-  IdleClients& idle = idle_[index];
-  if (idle.generation == generation) {
-    idle.clients.push_back(std::move(client));
+  if (outcome == AttemptOutcome::kOk || outcome == AttemptOutcome::kError) {
+    // Definitive answers pass through verbatim; 400/404/500 are
+    // deterministic and would only be recomputed by a retry.
+    f.out.response_line = std::move(response);
+    f.out.final_outcome = outcome;
+    finish(f);
+    return;
   }
+  if (++f.attempt_no >= config_.retry.max_attempts) {
+    f.out.exhausted = true;
+    f.out.final_outcome = outcome;
+    f.out.response_line = exhausted_envelope(f.parsed_request(), f.out.attempts);
+    retries_exhausted_.fetch_add(1);
+    finish(f);
+    return;
+  }
+  retries_.fetch_add(1);
+  if (f.order[f.attempt_no % f.order.size()] != index) failovers_.fetch_add(1);
+  const double delay = backoff_seconds(f.attempt_no);
+  if (delay <= 0.0) {
+    begin_attempt(f);
+  } else {
+    f.timer = connections_.after(delay, [&f, this] { begin_attempt(f); });
+  }
+}
+
+void Front::finish(Forward& f) {
+  if (f.record) {
+    record_request_trace(f.method, f.context, f.out, f.traced, f.begin,
+                         f.conn, f.seq);
+  }
+  if (f.launching) {
+    f.finished = true;  // launch()'s caller answers it
+    return;
+  }
+  deliver(f);
+}
+
+void Front::deliver(Forward& f) {
+  if (f.token != nullptr) {
+    count_outcome(f.out);
+    connections_.complete(f.token, std::move(f.out.response_line));
+  } else {
+    f.done(std::move(f.out));
+  }
+  forwards_.erase(f.self);
+}
+
+void Front::pool_link(std::unique_ptr<Link> link) {
+  link->forward = nullptr;
+  Pool& pool = pools_[link->index];
+  if (link->generation == pool.generation) {
+    pool.idle.push_back(std::move(link));
+  } else {
+    close_link(std::move(link));
+  }
+}
+
+void Front::close_link(std::unique_ptr<Link> link) {
+  if (link != nullptr && link->fd >= 0) connections_.unwatch(link->fd);
 }
 
 void Front::close_pool(std::size_t index) {
-  std::vector<serve::Client> closing;
-  std::lock_guard<std::mutex> lock(idle_mutex_);
-  ++idle_[index].generation;
-  closing.swap(idle_[index].clients);
+  Pool& pool = pools_[index];
+  ++pool.generation;
+  for (std::unique_ptr<Link>& link : pool.idle) close_link(std::move(link));
+  pool.idle.clear();
 }
 
-void Front::backoff_sleep(std::size_t retry_number) {
+double Front::backoff_seconds(std::size_t retry_number) {
   double delay = config_.retry.backoff_initial_seconds *
                  std::pow(2.0, static_cast<double>(retry_number - 1));
   delay = std::min(delay, config_.retry.backoff_max_seconds);
-  if (delay <= 0.0) return;
-  double u = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(rng_mutex_);
-    u = jitter_rng_.uniform01();
-  }
-  delay *= 1.0 - config_.retry.jitter * u;
-  std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+  if (delay <= 0.0) return 0.0;
+  return delay * (1.0 - config_.retry.jitter * jitter_rng_.uniform01());
 }
 
 std::string Front::exhausted_envelope(
@@ -337,110 +693,17 @@ std::string Front::exhausted_envelope(
 }
 
 ForwardResult Front::forward_line(const std::string& request_line) {
-  return forward_line_traced(request_line, try_parse(request_line), 0, 0);
-}
-
-ForwardResult Front::forward_line_traced(
-    const std::string& request_line,
-    const std::optional<serve::Json>& request, std::uint64_t conn,
-    std::uint64_t seq) {
-  const Clock::time_point request_begin = Clock::now();
-
-  // Trace setup. Balancer affinity and the exhausted envelope always use
-  // the ORIGINAL client line; only the per-attempt upstream line is
-  // rewritten with a trace context. A malformed incoming `trace` member
-  // is forwarded verbatim and recorded as nothing -- the upstream's
-  // dispatcher produces the canonical 400 envelope for it.
-  bool record = false;
-  std::string method = "?";
-  serve::TraceContext context;
-  if (config_.trace && request && request->is_object()) {
-    if (const serve::Json* m = request->find("method");
-        m != nullptr && m->is_string()) {
-      method = m->as_string();
-    }
-    try {
-      if (const std::optional<serve::TraceContext> incoming =
-              serve::parse_trace_context(*request)) {
-        context = *incoming;  // forward the client's trace decision
-        record = context.sampled;
-      } else {
-        context.trace_id = serve::make_trace_id(
-            trace_origin_base_ + origin_serial_.fetch_add(1) + 1);
-        context.span_id = 0;
-        context.sampled = true;
-        record = true;
-      }
-    } catch (const common::ModelError&) {
-      record = false;
-    }
-  }
-
-  ForwardResult out;
-  std::vector<TracedAttempt> traced;
-  // Only consistent-hash reads the key; the others skip building it.
-  std::string key;
-  if (balancer_.policy() == BalancePolicy::kConsistentHash) {
-    key = request ? affinity_key(*request, request_line) : request_line;
-  }
-  const std::vector<std::size_t> order = balancer_.pick(key);
-  const std::size_t budget = config_.retry.max_attempts;
-
-  bool answered = false;
-  for (std::size_t attempt_no = 0; attempt_no < budget && !answered;
-       ++attempt_no) {
-    // Walk the balancer's preference order: healthy replicas first, so
-    // for budget <= N every retry lands on a different, untried
-    // replica; past N the walk wraps (better a repeat than a give-up).
-    const std::size_t index = order[attempt_no % order.size()];
-    if (attempt_no > 0) {
-      retries_.fetch_add(1);
-      if (index != out.attempts.back().upstream_index) {
-        failovers_.fetch_add(1);
-      }
-      backoff_sleep(attempt_no);
-    }
-    TracedAttempt span;
-    span.upstream_index = index;
-    std::string attempt_line = request_line;
-    if (record) {
-      // Each attempt gets a fresh span reference: the upstream's
-      // serve_request span parents on exactly this attempt, so a retry
-      // that lands on another replica stays distinguishable.
-      span.ref = span_ref_.fetch_add(1);
-      attempt_line = serve::with_trace_context(
-          *request,
-          serve::TraceContext{context.trace_id, span.ref, true});
-    }
-    std::string response;
-    span.begin = Clock::now();
-    const ForwardAttempt attempt = attempt_once(index, attempt_line,
-                                                response);
-    span.end = Clock::now();
-    span.outcome = attempt.outcome;
-    out.attempts.push_back(attempt);
-    traced.push_back(span);
-    if (attempt.outcome == AttemptOutcome::kOk ||
-        attempt.outcome == AttemptOutcome::kError) {
-      // Definitive answers pass through verbatim; 400/404/500 are
-      // deterministic and would only be recomputed by a retry.
-      out.response_line = std::move(response);
-      out.final_outcome = attempt.outcome;
-      answered = true;
-    }
-  }
-
-  if (!answered) {
-    out.exhausted = true;
-    out.final_outcome = out.attempts.back().outcome;
-    out.response_line = exhausted_envelope(request, out.attempts);
-    retries_exhausted_.fetch_add(1);
-  }
-  if (record) {
-    record_request_trace(method, context, out, traced, request_begin,
-                         conn, seq);
-  }
-  return out;
+  UPA_REQUIRE(running(), "forward_line requires a started front");
+  // Shared: a task or forward that stop() drops breaks the promise, so
+  // the waiter never hangs.
+  auto promise = std::make_shared<std::promise<ForwardResult>>();
+  std::future<ForwardResult> result = promise->get_future();
+  connections_.post([this, request_line, promise] {
+    Forward& f = make_forward(request_line, std::nullopt, 0, 0);
+    f.done = [promise](ForwardResult r) { promise->set_value(std::move(r)); };
+    if (launch(f)) deliver(f);
+  });
+  return result.get();
 }
 
 void Front::record_request_trace(const std::string& method,
@@ -537,28 +800,41 @@ std::string Front::dispatch_stats_line(const serve::Json& request) {
   return serve::make_result_response(id, std::move(result)).dump();
 }
 
-std::string Front::respond_line(const std::string& line,
-                                const serve::RequestContext& context) {
+std::optional<std::string> Front::respond_line(
+    const std::string& line, const serve::RequestContext& context) {
   requests_.fetch_add(1);
-  // The line's one parse. Unparseable lines are forwarded anyway: the
-  // upstream produces the canonical 400 envelope, keeping responses
-  // byte-identical to a direct connection.
-  const std::optional<serve::Json> request = try_parse(line);
-  if (request) {
-    if (const serve::Json* m = request->find("method");
-        m != nullptr && m->is_string() &&
-        m->as_string() == "dispatch_stats") {
-      return dispatch_stats_line(*request);
+  // Unparseable lines are forwarded anyway: the upstream produces the
+  // canonical 400 envelope, keeping responses byte-identical to a direct
+  // connection. A line that cannot name dispatch_stats skips the parse
+  // unless tracing or hashing needs it.
+  std::optional<serve::Json> request;
+  if (line.find("dispatch_stats") != std::string::npos) {
+    request = try_parse(line);
+    if (request) {
+      if (const serve::Json* m = request->find("method");
+          m != nullptr && m->is_string() &&
+          m->as_string() == "dispatch_stats") {
+        return dispatch_stats_line(*request);
+      }
     }
   }
+  Forward& f = make_forward(line, std::move(request), context.conn,
+                            context.seq);
+  f.token = context.token;
+  if (!launch(f)) return std::nullopt;  // complete() answers it
+  // Every attempt failed without waiting: answer now.
+  count_outcome(f.out);
+  std::string response = std::move(f.out.response_line);
+  forwards_.erase(f.self);
+  return response;
+}
 
-  const ForwardResult fr =
-      forward_line_traced(line, request, context.conn, context.seq);
+void Front::count_outcome(const ForwardResult& result) {
   // Counters classify the response the client actually got: a spent
   // budget surfaces as the 503 retries_exhausted envelope, so it counts
   // as a rejection regardless of how the last attempt died.
   const AttemptOutcome client_visible =
-      fr.exhausted ? AttemptOutcome::kRejected : fr.final_outcome;
+      result.exhausted ? AttemptOutcome::kRejected : result.final_outcome;
   switch (client_visible) {
     case AttemptOutcome::kOk: forwarded_ok_.fetch_add(1); break;
     case AttemptOutcome::kRejected: forwarded_rejected_.fetch_add(1); break;
@@ -568,7 +844,6 @@ std::string Front::respond_line(const std::string& line,
       forwarded_transport_.fetch_add(1);
       break;
   }
-  return fr.response_line;
 }
 
 }  // namespace upa::dispatch

@@ -1,5 +1,5 @@
 #pragma once
-// The dispatch front end: a multi-threaded TCP server speaking the same
+// The dispatch front end: a TCP server speaking the same
 // newline-delimited JSON wire protocol as `upa_served`, forwarding each
 // request line to one of N upstream replicas. Forwarding is verbatim in
 // both directions -- the raw request line goes out, the upstream's raw
@@ -22,22 +22,34 @@
 // and per-upstream state over RPC; every other method (including the
 // upstreams' own `stats`) is forwarded untouched.
 //
-// Accept, admission (503 at `max_clients`), the worker pool, keep-alive,
-// the `subscribe` handoff and the graceful drain are the shared
-// serve::ConnectionServer (upa/serve/connection_server.hpp) -- the same
-// one upa_served runs; this class is its request handler.
+// Accept, admission (503 at `max_clients`), keep-alive, the `subscribe`
+// handoff and the graceful drain are the shared serve::ConnectionServer
+// (upa/serve/connection_server.hpp) -- the same one upa_served runs; this
+// class is its request handler, run on the server's reactor thread.
 //
-// Upstream connections are kept alive and pooled per upstream: a worker
-// checks one out for an attempt and returns it after a complete
-// response line, so no upstream ever sees more pooled connections than
-// the front has workers. A pooled connection that fails before any
-// response byte arrives (the upstream closed it while idle, or
-// restarted) is replaced by one fresh connect within the same attempt
-// and is not a transport failure. Ejecting an upstream closes its pool.
+// Forwarding happens on that reactor: no thread of the front ever waits
+// on an upstream. Each admitted line is a non-blocking state machine --
+// take a pooled upstream socket or start a non-blocking connect, write
+// the line, frame the response line when epoll reports it, classify it,
+// then answer the client or arm the backoff timer for the next attempt.
+// Connect and call timeouts are reactor timers too. `workers` bounds the
+// forwards in flight; admitted lines past it wait in FIFO order.
+//
+// Upstream connections are kept alive and pooled per upstream: an
+// attempt takes one and returns it after a complete response line, so no
+// upstream ever sees more pooled connections than the front has forwards
+// in flight. A pooled connection that fails before any response byte
+// arrives (the upstream closed it while idle, or restarted) is replaced
+// by one fresh connect within the same attempt and is not a transport
+// failure. Ejecting an upstream closes its pool; the health checker runs
+// its blocking probes on its own thread and posts the ejection to the
+// reactor.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -49,7 +61,6 @@
 #include "upa/dispatch/upstream.hpp"
 #include "upa/obs/metrics.hpp"
 #include "upa/obs/trace.hpp"
-#include "upa/serve/client.hpp"
 #include "upa/serve/connection_server.hpp"
 #include "upa/serve/protocol.hpp"
 #include "upa/sim/rng.hpp"
@@ -73,9 +84,9 @@ struct FrontConfig {
   std::uint16_t port = 0;
   std::vector<UpstreamAddress> upstreams;
   BalancePolicy policy = BalancePolicy::kLeastOutstanding;
-  /// Front worker threads; each forwards one request at a time, so this
-  /// bounds concurrent forwarded calls and the pooled connections per
-  /// upstream.
+  /// Forwards in flight (the front's i): admitted lines past it wait in
+  /// FIFO order. It also bounds the pooled connections per upstream. Not
+  /// a thread count -- the front forwards on its one reactor thread.
   std::size_t workers = 16;
   /// Client request lines in the front at once (queued + forwarding); a
   /// line beyond it gets a 503 without being forwarded. Sized so the
@@ -89,9 +100,10 @@ struct FrontConfig {
   /// Per-attempt upstream connect timeout. Small: a dead replica must
   /// fail fast so the retry layer can move on.
   double upstream_connect_timeout_seconds = 1.0;
-  /// Per-attempt upstream send and receive timeout (writing the request,
-  /// waiting for the response line). Bounded so a replica killed
-  /// mid-response is a fast retry, not a 30 s stall.
+  /// Per-attempt upstream deadline from the connection being ready to
+  /// the whole response line (writing the request, waiting for the
+  /// answer). Bounded so a replica killed mid-response is a fast retry,
+  /// not a 30 s stall.
   double upstream_call_timeout_seconds = 10.0;
   HealthConfig health;
   RetryConfig retry;
@@ -158,7 +170,7 @@ class Front {
   Front& operator=(const Front&) = delete;
 
   /// Binds, listens, runs one initial health sweep, and spawns the
-  /// reactor, workers, and the health checker.
+  /// reactor and the health checker.
   void start();
 
   /// Graceful drain (serve::ConnectionServer::stop), then stops the
@@ -180,7 +192,8 @@ class Front {
   [[nodiscard]] std::vector<UpstreamSnapshot> upstreams() const;
 
   /// The retry layer, exposed for tests: forwards one raw request line
-  /// and returns the response plus the attempt trail. Thread-safe.
+  /// on the reactor, outside admission, and waits for the response plus
+  /// the attempt trail. Thread-safe; throws ModelError unless running.
   [[nodiscard]] ForwardResult forward_line(const std::string& request_line);
 
   /// The one metrics path, streamed every `subscribe` tick: front totals
@@ -199,6 +212,13 @@ class Front {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// One kept-alive, non-blocking upstream connection, watched on the
+  /// reactor for its whole life; owned by its pool while idle and by the
+  /// forward it carries otherwise.
+  struct Link;
+  /// One request line on its way through the retry layer.
+  struct Forward;
+
   /// One forwarding attempt with its trace bookkeeping: the per-process
   /// span reference stamped into the attempt's trace context (the value
   /// the upstream's serve_request span carries as parent_span) and the
@@ -211,36 +231,61 @@ class Front {
     Clock::time_point end;
   };
 
-  /// One request line -> one response line: serves dispatch_stats
-  /// locally, forwards everything else, and bumps the final-outcome
-  /// counters (exactly once per request).
-  [[nodiscard]] std::string respond_line(
+  /// Kept-alive upstream connections, by upstream index; a generation
+  /// bump (ejection) retires the ones out on an attempt.
+  struct Pool {
+    std::vector<std::unique_ptr<Link>> idle;
+    std::uint64_t generation = 0;
+  };
+
+  /// One request line -> one response line, on the reactor: serves
+  /// dispatch_stats at once, and forwards everything else, answering
+  /// through ConnectionServer::complete() unless every attempt failed at
+  /// once. Bumps the final-outcome counters exactly once per request.
+  [[nodiscard]] std::optional<std::string> respond_line(
       const std::string& line, const serve::RequestContext& context);
   [[nodiscard]] std::string dispatch_stats_line(const serve::Json& request);
-  /// The retry layer. `request` is the line parsed once by the caller,
-  /// empty when it is not valid JSON (still forwarded verbatim).
-  [[nodiscard]] ForwardResult forward_line_traced(
-      const std::string& request_line,
-      const std::optional<serve::Json>& request, std::uint64_t conn,
-      std::uint64_t seq);
-  /// One attempt against one upstream over a pooled connection; records
-  /// pool counters and the per-outcome and per-upstream latency
-  /// histograms.
-  [[nodiscard]] ForwardAttempt attempt_once(std::size_t index,
-                                            const std::string& line,
-                                            std::string& response_out);
-  /// An idle pooled connection to upstream `index`, or an unconnected
-  /// client, with the pool generation it was taken under.
-  [[nodiscard]] serve::Client checkout(std::size_t index,
-                                       std::uint64_t& generation);
-  /// Returns a connection that read a complete response line; one taken
-  /// before its upstream was ejected is closed instead.
-  void checkin(std::size_t index, serve::Client client,
-               std::uint64_t generation);
+  /// A new forward of `line`. `request` is the line parsed by the
+  /// caller, or empty: it is parsed only when tracing, hashing or the
+  /// exhausted envelope needs it.
+  Forward& make_forward(const std::string& line,
+                        std::optional<serve::Json> request,
+                        std::uint64_t conn, std::uint64_t seq);
+  /// Starts the first attempt; true when the forward finished at once
+  /// (its result is then in the forward, not yet delivered).
+  [[nodiscard]] bool launch(Forward& forward);
+  void begin_attempt(Forward& forward);
+  /// Opens a fresh non-blocking connection for the attempt in flight.
+  void connect_link(Forward& forward);
+  /// Closes the attempt's connection and fails the attempt after
+  /// `seconds`: the connect, then the call, timeout.
+  void arm_deadline(Forward& forward, double seconds);
+  /// Writes what the link has not taken of the attempt's line; false
+  /// when the link broke (the forward may be gone).
+  bool write_request(Forward& forward);
+  void on_link_ready(Link& link, std::uint32_t events);
+  void read_response(Forward& forward);
+  /// The attempt's connection broke; before any response byte on a
+  /// pooled one, one fresh connect retries it within the attempt.
+  void link_broke(Forward& forward, bool before_response);
+  /// Books one attempt's outcome, then answers, arms the backoff timer
+  /// for the next attempt, or ends with the retries_exhausted envelope.
+  void attempt_ended(Forward& forward, AttemptOutcome outcome,
+                     std::string response);
+  void finish(Forward& forward);
+  /// Hands a finished forward's result to its client or waiter, and
+  /// frees it.
+  void deliver(Forward& forward);
+  void count_outcome(const ForwardResult& result);
+  /// Returns a connection that read exactly one response line to its
+  /// pool; one taken before its upstream was ejected is closed instead.
+  void pool_link(std::unique_ptr<Link> link);
+  void close_link(std::unique_ptr<Link> link);
   /// Closes upstream `index`'s idle pooled connections and retires the
-  /// ones checked out now.
+  /// ones out on an attempt now.
   void close_pool(std::size_t index);
-  void backoff_sleep(std::size_t retry_number);
+  /// The backoff before retry `retry_number` (1-based), jittered.
+  [[nodiscard]] double backoff_seconds(std::size_t retry_number);
   [[nodiscard]] std::string exhausted_envelope(
       const std::optional<serve::Json>& request,
       const std::vector<ForwardAttempt>& attempts) const;
@@ -258,14 +303,10 @@ class Front {
   UpstreamPool pool_;
   Balancer balancer_;
 
-  // Kept-alive upstream connections, by upstream index; a generation
-  // bump (ejection) retires the ones checked out.
-  struct IdleClients {
-    std::vector<serve::Client> clients;
-    std::uint64_t generation = 0;
-  };
-  std::mutex idle_mutex_;  // guards idle_
-  std::vector<IdleClients> idle_;
+  // Reactor-thread state: the pools and every forward in flight.
+  std::vector<Pool> pools_;
+  std::list<Forward> forwards_;
+  sim::Xoshiro256 jitter_rng_;
 
   std::unique_ptr<HealthChecker> health_;
   std::mutex start_stop_mutex_;  // serializes start/stop callers
@@ -280,9 +321,6 @@ class Front {
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> retries_exhausted_{0};
   std::atomic<std::uint64_t> stats_served_{0};
-
-  std::mutex rng_mutex_;  // guards jitter_rng_
-  sim::Xoshiro256 jitter_rng_;
 
   // Tracing state: a per-process attempt-span reference counter (the
   // value propagated as trace.span_id and echoed back by upstream spans
@@ -299,7 +337,8 @@ class Front {
   std::vector<obs::Histogram> latency_by_upstream_; // indexed by upstream
   obs::Tracer tracer_;
 
-  // Last member: destroyed first, so no worker outlives the state above.
+  // Last member: destroyed first, so the reactor does not outlive the
+  // state above.
   serve::ConnectionServer connections_;
 };
 

@@ -30,6 +30,10 @@ constexpr std::size_t kMaxLineBytes = 1 << 20;
 constexpr int kMaxEvents = 64;
 constexpr int kMaxAcceptsPerWake = 64;
 
+/// Tags the epoll data of an owner's watched fd; a connection's data is
+/// its bare fd.
+constexpr std::uint64_t kWatchedFd = std::uint64_t{1} << 32;
+
 std::string envelope_line(const Json& id, int code,
                           const std::string& message) {
   return make_error_response(id, code, message).dump() + "\n";
@@ -152,6 +156,7 @@ void ConnectionServer::start() {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(config_.port);
   std::string failure;
+  int wake_fd = -1;
   if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
     failure = "bind_address is not an IPv4 address: " + config_.bind_address;
@@ -163,12 +168,12 @@ void ConnectionServer::start() {
   } else if (::listen(listen_fd_, 256) != 0) {
     failure = std::string("listen() failed: ") + std::strerror(errno);
   } else if ((epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC)) < 0 ||
-             (wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) < 0) {
+             (wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) < 0) {
     failure = std::string("epoll/eventfd setup failed: ") +
               std::strerror(errno);
   } else {
     // Level-triggered: the listen socket and the wake-up stay armed.
-    for (const int fd : {listen_fd_, wake_fd_}) {
+    for (const int fd : {listen_fd_, wake_fd}) {
       epoll_event event{};
       event.events = EPOLLIN;
       event.data.fd = fd;
@@ -178,7 +183,7 @@ void ConnectionServer::start() {
     }
   }
   if (!failure.empty()) {
-    for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+    for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd}) {
       if (*fd >= 0) ::close(*fd);
       *fd = -1;
     }
@@ -192,6 +197,8 @@ void ConnectionServer::start() {
   std::size_t initial_workers = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    // post() reads the wake fd under mutex_, from any thread.
+    wake_fd_ = wake_fd;
     draining_ = false;
     stopping_ = false;
     queue_.clear();
@@ -199,11 +206,13 @@ void ConnectionServer::start() {
     in_system_ = 0;
     exited_worker_ids_.clear();
     // A restart resumes at the last configured targets, which may have
-    // been retargeted by reconfigure() since construction.
-    active_workers_ = workers_target_;
-    initial_workers = workers_target_;
+    // been retargeted by reconfigure() since construction. On the
+    // reactor, i is a bound on requests in service, not threads.
+    initial_workers = config_.handle_on_reactor ? 0 : workers_target_;
+    active_workers_ = initial_workers;
   }
   busy_connections_ = 0;
+  in_service_ = 0;
   draining_seen_ = false;
   next_deadline_sweep_ = Clock::now();
 
@@ -269,13 +278,19 @@ void ConnectionServer::stop() {
     }
     if (victim.joinable()) victim.join();
   }
+  // The owner's watches, timers and unrun tasks die with the reactor.
+  watchers_.clear();
+  timers_.clear();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     exited_worker_ids_.clear();
     active_workers_ = 0;
+    posted_.clear();
+    ::close(wake_fd_);
+    wake_fd_ = -1;
   }
   if (telemetry_ != nullptr) telemetry_->stop();
-  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+  for (int* fd : {&listen_fd_, &epoll_fd_}) {
     if (*fd >= 0) ::close(*fd);
     *fd = -1;
   }
@@ -338,7 +353,7 @@ ReconfigureResult ConnectionServer::reconfigure(std::size_t workers,
       reject_line_ = reject_line;
     }
     workers_target_ = new_workers;
-    if (active_workers_ < workers_target_) {
+    if (!config_.handle_on_reactor && active_workers_ < workers_target_) {
       // Pre-credit the spawns under mutex_ so a concurrent shrink
       // computed against active_workers_ never double-retires.
       spawn = workers_target_ - active_workers_;
@@ -354,11 +369,13 @@ ReconfigureResult ConnectionServer::reconfigure(std::size_t workers,
   }
   reconfigures_.fetch_add(1);
   // Shrinks need idle and lingering workers to notice the lowered
-  // target; grows need a backlog handed to the fresh threads at once.
+  // target; grows need a backlog handed to the fresh threads -- or, on
+  // the reactor, to the new slots in service -- at once.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     wake_all_locked();
   }
+  if (config_.handle_on_reactor) post([this] { run_queued(); });
   return r;
 }
 
@@ -388,11 +405,21 @@ void ConnectionServer::reactor_loop() {
       config_.read_timeout_seconds * 250.0, 1.0, 100.0));
   epoll_event events[kMaxEvents];
   bool final_sweep = false;
+  int timeout_millis = tick_millis;
   for (;;) {
     const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents,
-                                   final_sweep ? 0 : tick_millis);
+                                   final_sweep ? 0 : timeout_millis);
     take_handbacks();
     for (int e = 0; e < ready; ++e) {
+      if (const std::uint64_t data = events[e].data.u64;
+          (data & kWatchedFd) != 0) {
+        const auto it = watchers_.find(static_cast<int>(data - kWatchedFd));
+        if (it == watchers_.end()) continue;
+        // A copy: the watcher may unwatch its own fd.
+        const Watcher watcher = it->second;
+        watcher(events[e].events);
+        continue;
+      }
       const int fd = events[e].data.fd;
       if (fd == listen_fd_) {
         if (!draining_seen_) accept_ready();
@@ -415,6 +442,8 @@ void ConnectionServer::reactor_loop() {
         close_connection(conn);
       }
     }
+    // The next wait ends at the next timer, not at the tick.
+    timeout_millis = run_due_timers(tick_millis);
     const Clock::time_point now = Clock::now();
     if (now >= next_deadline_sweep_) {
       close_idle_past_deadline();
@@ -515,38 +544,52 @@ void ConnectionServer::advance(Connection& conn) {
     // runtime, so both are read under mutex_ per line -- the rejection
     // a client sees always names the K it was judged against.
     bool admitted = false;
+    bool handle_now = false;
+    Job job;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (in_system_ < capacity_limit_) {
         ++in_system_;
         max_in_system_ = std::max(max_in_system_, in_system_);
-        Job job;
         job.conn = &conn;
         job.line = std::move(line);
         job.context.admitted = Clock::now();
         job.context.conn = conn.serial;
         job.context.seq = conn.requests++;
-        queue_.push_back(std::move(job));
         admitted = true;
-        // An idle worker takes it; failing that, the worker that has
-        // held a connection longest is poked off it; failing both, the
-        // next worker to finish picks it up.
-        if (!idle_.empty()) {
-          wake_idle_locked(conn.worker);
-        } else if (!lingering_.empty()) {
-          Waiter* oldest = lingering_.front();
-          lingering_.erase(lingering_.begin());
-          poke_locked(*oldest);
+        if (config_.handle_on_reactor) {
+          // A free slot in service takes it now; otherwise it waits its
+          // turn behind the lines queued before it.
+          handle_now = in_service_ < workers_target_ && queue_.empty();
+          if (handle_now) {
+            ++in_service_;
+          } else {
+            queue_.push_back(std::move(job));
+          }
+        } else {
+          queue_.push_back(std::move(job));
+          // An idle worker takes it; failing that, the worker that has
+          // held a connection longest is poked off it; failing both,
+          // the next worker to finish picks it up.
+          if (!idle_.empty()) {
+            wake_idle_locked(conn.worker);
+          } else if (!lingering_.empty()) {
+            Waiter* oldest = lingering_.front();
+            lingering_.erase(lingering_.begin());
+            poke_locked(*oldest);
+          }
         }
       } else {
         bytes = reject_line_;
       }
     }
     if (admitted) {
-      // From here the job's worker owns the connection's shared fields.
+      // From here the job's worker, or its pending handler, owns the
+      // connection's shared fields.
       admitted_.fetch_add(1);
       conn.busy = true;
       ++busy_connections_;
+      if (handle_now && handle_inline(std::move(job))) continue;
       return;
     }
     rejected_.fetch_add(1);
@@ -595,10 +638,12 @@ void ConnectionServer::flush_ready(Connection& conn) {
 
 void ConnectionServer::take_handbacks() {
   std::vector<Handback> backs;
+  std::vector<std::function<void()>> posted;
   bool draining = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     backs.swap(handbacks_);
+    posted.swap(posted_);
     draining = draining_;
   }
   if (draining && !draining_seen_) {
@@ -623,6 +668,7 @@ void ConnectionServer::take_handbacks() {
       if (keep_open(conn)) advance(conn);
     }
   }
+  for (std::function<void()>& task : posted) task();
 }
 
 void ConnectionServer::close_idle_past_deadline() {
@@ -703,15 +749,14 @@ void ConnectionServer::worker_loop() {
 
 bool ConnectionServer::serve(Job& job) {
   job.context.dequeued = Clock::now();
-  std::string response = handler_(job.line, job.context);
+  job.context.token = job.conn;
+  std::optional<std::string> answer = handler_(job.line, job.context);
+  if (!answer) return false;  // pending: complete() answers on the reactor
+  std::string& response = *answer;
   response += '\n';
   Connection& conn = *job.conn;
   const std::size_t sent = send_some(conn.fd, response);
-  completed_.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --in_system_;
-  }
+  settle();
   if (sent == response.size() && !conn.eof &&
       conn.in.find('\n') == std::string::npos) {
     return true;  // idle: the worker lingers on it
@@ -794,6 +839,118 @@ bool ConnectionServer::linger(Job& job, Waiter& me) {
   back.rearmed = !back.failed && conn.in.empty() && !conn.eof;
   hand_back(std::move(back));
   return false;
+}
+
+bool ConnectionServer::handle_inline(Job job) {
+  Connection& conn = *job.conn;
+  job.context.dequeued = Clock::now();
+  job.context.token = &conn;
+  std::optional<std::string> response = handler_(job.line, job.context);
+  if (!response) return false;  // pending: complete() answers it
+  return answer(conn, std::move(*response));
+}
+
+void ConnectionServer::complete(void* token, std::string response) {
+  Connection& conn = *static_cast<Connection*>(token);
+  if (answer(conn, std::move(response))) advance(conn);
+}
+
+bool ConnectionServer::answer(Connection& conn, std::string response) {
+  settle();
+  conn.busy = false;
+  --busy_connections_;
+  conn.deadline = deadline_from_now();
+  response.push_back('\n');
+  const bool open = reply(conn, std::move(response)) && keep_open(conn);
+  // The freed slot goes to the lines queued before this connection's
+  // next one.
+  run_queued();
+  return open;
+}
+
+void ConnectionServer::settle() {
+  completed_.fetch_add(1);
+  std::lock_guard<std::mutex> lock(mutex_);
+  --in_system_;
+  if (config_.handle_on_reactor) --in_service_;
+}
+
+void ConnectionServer::run_queued() {
+  // Re-entered from a handler that answered at once: the outer call is
+  // still draining the queue. Worker threads drain their own queue.
+  if (!config_.handle_on_reactor || running_queued_) return;
+  running_queued_ = true;
+  for (;;) {
+    Job job;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (queue_.empty() || in_service_ >= workers_target_) break;
+      job = std::move(queue_.front());
+      queue_.pop_front();
+      ++in_service_;
+    }
+    Connection& conn = *job.conn;
+    if (handle_inline(std::move(job))) advance(conn);
+  }
+  running_queued_ = false;
+}
+
+void ConnectionServer::post(std::function<void()> task) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  posted_.push_back(std::move(task));
+  if (wake_fd_ >= 0) notify_eventfd(wake_fd_);
+}
+
+bool ConnectionServer::watch(int fd, std::uint32_t events, Watcher watcher) {
+  epoll_event event{};
+  event.events = events;
+  event.data.u64 = kWatchedFd | static_cast<std::uint32_t>(fd);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) return false;
+  watchers_.insert_or_assign(fd, std::move(watcher));
+  return true;
+}
+
+void ConnectionServer::rewatch(int fd, std::uint32_t events) {
+  epoll_event event{};
+  event.events = events;
+  event.data.u64 = kWatchedFd | static_cast<std::uint32_t>(fd);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event);
+}
+
+void ConnectionServer::unwatch(int fd) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  watchers_.erase(fd);
+}
+
+ConnectionServer::TimerId ConnectionServer::after(
+    double seconds, std::function<void()> task) {
+  const TimerId id{Clock::now() +
+                       std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(seconds)),
+                   ++timer_serial_};
+  timers_.emplace(std::make_pair(id.when, id.serial), std::move(task));
+  return id;
+}
+
+void ConnectionServer::cancel(const TimerId& timer) {
+  timers_.erase(std::make_pair(timer.when, timer.serial));
+}
+
+int ConnectionServer::run_due_timers(int tick_millis) {
+  while (!timers_.empty()) {
+    const auto first = timers_.begin();
+    const Clock::time_point now = Clock::now();
+    if (first->first.first > now) {
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          first->first.first - now);
+      return static_cast<int>(
+          std::min<std::int64_t>(wait.count(), tick_millis));
+    }
+    const std::function<void()> task = std::move(first->second);
+    timers_.erase(first);
+    task();
+  }
+  return tick_millis;
 }
 
 void ConnectionServer::wake_idle_locked(std::uint64_t preferred) {

@@ -2,33 +2,49 @@
 // The connection server both daemons run -- `upa_served` (serve::Server)
 // and `upa_dispatch` (dispatch::Front) -- and whose own request handling
 // IS the paper's M/M/i/K station, with the request line as the customer.
-// `workers` threads (the paper's i operational servers) drain one
-// bounded queue; `capacity` (the paper's K) bounds the request lines in
-// the system -- queued plus in service.
+// `workers` (the paper's i operational servers) bounds the requests in
+// service; `capacity` (the paper's K) bounds the request lines in the
+// system -- queued plus in service.
 //
 // One epoll reactor thread owns every socket. It accepts, reads without
 // blocking, frames newline-delimited request lines, and judges each line
 // against K: a line that finds K requests in the system gets a one-line
 // 503 envelope written by the reactor, the handler never runs for it,
 // and the connection stays open for its next line. An admitted line goes
-// to the queue; a worker runs the owner's RequestHandler and writes the
-// response straight to the non-blocking socket, handing any short write
-// back to the reactor's EPOLLOUT path. A connection has at most one
-// request in flight: it is read again only after its response is
-// written, so responses keep request order. A `subscribe` line hands the
-// socket to a TelemetryStreamer (a long-lived subscriber holds no slot).
+// to the owner's RequestHandler, which answers it now or later. A
+// connection has at most one request in flight: it is read again only
+// after its response is written, so responses keep request order. A
+// `subscribe` line hands the socket to a TelemetryStreamer (a long-lived
+// subscriber holds no slot).
 //
-// An idle keep-alive connection holds no admission slot, and no thread
-// that other work needs. A worker that has written a response keeps that
-// connection only while nothing else is queued -- for at most its idle
-// deadline -- and admits and serves its next line itself, so a
-// request/response client pays no reactor wake-up and no hand-off per
-// request. When a line is queued for want of an idle worker, the worker
-// that has held a connection longest is poked: it gives the connection
-// back to the reactor and takes the line (the drain and a shrink poke
-// them all). A queued line goes to the idle worker that last served its
-// connection, else to the one that idled last -- warm caches, and the
-// allocator arena that already holds the connection's working set.
+// Where the handler runs is the owner's choice, and the handler contract
+// is the same either way: it returns the response line now, or nothing
+// ("pending") and hands the response to complete() later, on the reactor
+// thread.
+//  - On `workers` threads (upa_served, whose handler computes): an
+//    admitted line goes to one bounded FIFO queue; a worker runs the
+//    handler and writes the response straight to the non-blocking
+//    socket, handing any short write back to the reactor's EPOLLOUT path.
+//  - On the reactor thread (`handle_on_reactor`; upa_dispatch, whose
+//    handler only moves bytes): no worker thread exists. `workers` is the
+//    number of requests in service -- handled and not yet answered -- and
+//    admitted lines past it wait in FIFO order. Such a handler must never
+//    block; it drives its own sockets and deadlines with the reactor's
+//    watch() and after(), and work from other threads reaches it through
+//    post().
+//
+// On worker threads, an idle keep-alive connection holds no admission
+// slot, and no thread that other work needs. A worker that has written a
+// response keeps that connection only while nothing else is queued -- for
+// at most its idle deadline -- and admits and serves its next line
+// itself, so a request/response client pays no reactor wake-up and no
+// hand-off per request. When a line is queued for want of an idle worker,
+// the worker that has held a connection longest is poked: it gives the
+// connection back to the reactor and takes the line (the drain and a
+// shrink poke them all). A queued line goes to the idle worker that last
+// served its connection, else to the one that idled last -- warm caches,
+// and the allocator arena that already holds the connection's working
+// set.
 //
 // Both knobs are runtime-elastic: reconfigure() retargets the worker
 // pool and swaps the admission bound atomically. Grow spawns threads at
@@ -40,7 +56,8 @@
 // accepting, lets every request in the system finish, closes each
 // connection once its response is written, and joins all threads. Lines
 // that arrive while the drain still has requests in flight are served;
-// once the system is empty every remaining connection is closed.
+// once the system is empty every remaining connection is closed, and the
+// owner's watches, timers and posted tasks are dropped.
 // `read_timeout_seconds` is the reactor's deadline per connection: an
 // idle connection that sends nothing for that long, or a client that
 // stops reading a response for that long, is closed -- so stop() always
@@ -54,7 +71,9 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -83,13 +102,18 @@ struct RequestContext {
   std::chrono::steady_clock::time_point dequeued;  ///< a worker took it
   std::uint64_t conn = 0;  ///< connection serial, 1-based
   std::uint64_t seq = 0;   ///< request index on the connection
+  /// Names the request to ConnectionServer::complete() when the handler
+  /// answers it later; opaque.
+  void* token = nullptr;
 };
 
-/// One request line in, one response line (without '\n') out. Runs on
-/// worker threads concurrently, so it must be thread-safe.
-using RequestHandler =
-    std::function<std::string(const std::string& line,
-                              const RequestContext& context)>;
+/// One request line in, one response line (without '\n') out: now, or
+/// std::nullopt ("pending") with the response handed to
+/// ConnectionServer::complete() later. On worker threads it runs
+/// concurrently, so it must be thread-safe; on the reactor thread it
+/// must not block.
+using RequestHandler = std::function<std::optional<std::string>(
+    const std::string& line, const RequestContext& context)>;
 
 /// Sizes and timeouts are validated by the owning daemon's config.
 struct ConnectionServerConfig {
@@ -98,6 +122,10 @@ struct ConnectionServerConfig {
   std::uint16_t port = 0;
   std::size_t workers = 1;   ///< the model's i
   std::size_t capacity = 1;  ///< the model's K; must be >= workers
+  /// Run the handler on the reactor thread, with no worker threads:
+  /// `workers` then bounds the requests handled and not yet answered,
+  /// and admitted lines past it wait in FIFO order.
+  bool handle_on_reactor = false;
   /// Per-connection deadline: how long a connection may stay idle
   /// between request lines, and how long a response may wait for the
   /// client to read it, before the reactor closes the connection.
@@ -127,7 +155,8 @@ struct ConnectionStats {
   std::uint64_t completed = 0;  ///< admitted requests fully handled
   std::size_t in_system = 0;      ///< requests queued or in service now
   std::size_t max_in_system = 0;  ///< high-water mark of in_system
-  std::size_t workers = 0;   ///< current worker target (the model's i)
+  std::size_t workers = 0;   ///< current i: worker target, or the bound
+                             ///< on requests in service on the reactor
   std::size_t capacity = 0;  ///< current admission bound (the model's K)
   std::size_t retiring = 0;  ///< workers past the target, still draining
   std::uint64_t reconfigures = 0;  ///< applied reconfigure() calls
@@ -179,9 +208,44 @@ class ConnectionServer {
   /// capacity < workers), while draining, or before start().
   ReconfigureResult reconfigure(std::size_t workers, std::size_t capacity);
 
- private:
+  // --- The reactor's services to its owner. post() is thread-safe; the
+  // rest may only be called on the reactor thread: from the handler,
+  // from a watcher, a timer or a posted task.
+
   using Clock = std::chrono::steady_clock;
 
+  /// Runs `task` on the reactor thread, soon. Tasks posted before start()
+  /// run once the reactor does; tasks still queued at stop() are dropped.
+  void post(std::function<void()> task);
+
+  /// Reports readiness of an owner's socket (epoll event bits).
+  using Watcher = std::function<void(std::uint32_t events)>;
+  /// Adds `fd` to the reactor's epoll set, level-triggered for `events`
+  /// (EPOLLERR and EPOLLHUP are always reported). The watcher may
+  /// unwatch and close its own fd. False when epoll refuses the fd.
+  [[nodiscard]] bool watch(int fd, std::uint32_t events, Watcher watcher);
+  /// Changes the events a watched fd reports.
+  void rewatch(int fd, std::uint32_t events);
+  /// Removes `fd` from the epoll set; the caller still owns and closes it.
+  void unwatch(int fd);
+
+  /// A pending timer; cancel() of a fired or cancelled one is a no-op.
+  struct TimerId {
+    Clock::time_point when;
+    std::uint64_t serial = 0;
+  };
+  /// Runs `task` once, `seconds` from now. The reactor sleeps no longer
+  /// than the next timer, so a timer fires within about a millisecond of
+  /// its time, not at the deadline-sweep tick.
+  TimerId after(double seconds, std::function<void()> task);
+  void cancel(const TimerId& timer);
+
+  /// Answers the pending request named by `token` (its RequestContext):
+  /// writes `response` (without '\n') and frees its slot in service for
+  /// the next queued line. Exactly once per pending request.
+  void complete(void* token, std::string response);
+
+ private:
   /// One accepted socket (defined in the .cpp). The reactor owns it;
   /// while one of its requests is queued or in service, or its worker
   /// holds it between requests, only that worker touches it, and the
@@ -235,14 +299,34 @@ class ConnectionServer {
   /// next line; false (and closed) once the drain has begun.
   [[nodiscard]] bool keep_open(Connection& conn);
   void flush_ready(Connection& conn);
-  /// Applies the workers' handbacks and notices the start of the drain.
-  /// Runs before each batch of events is handled, so a connection's
-  /// handback is always applied before its next line is read.
+  /// Applies the workers' handbacks, notices the start of the drain, and
+  /// runs the posted tasks. Runs before each batch of events is handled,
+  /// so a connection's handback is always applied before its next line
+  /// is read.
   void take_handbacks();
   void close_idle_past_deadline();
   [[nodiscard]] Clock::time_point deadline_from_now() const;
   void arm(Connection& conn, std::uint32_t events);
   void close_connection(Connection& conn);
+  /// Reactor mode: runs the handler for an admitted line. True when it
+  /// answered now and the connection is free for its next line; false
+  /// when the request is pending, or the connection waits on EPOLLOUT or
+  /// was closed.
+  [[nodiscard]] bool handle_inline(Job job);
+  /// Writes a handler's response to the request in service on `conn`
+  /// and frees its slot. True when the connection is free for its next
+  /// line; false when the reply waits on EPOLLOUT or the connection was
+  /// closed.
+  [[nodiscard]] bool answer(Connection& conn, std::string response);
+  /// After a handler answered: the request leaves the system and, on the
+  /// reactor, its slot in service.
+  void settle();
+  /// Reactor mode: hands queued lines to free slots in service, in FIFO
+  /// order.
+  void run_queued();
+  /// Runs the timers that are due; returns the epoll_wait timeout in ms
+  /// until the next one, at most `tick_millis`.
+  [[nodiscard]] int run_due_timers(int tick_millis);
   void worker_loop();
   /// Runs the handler and writes the response. True when the response
   /// went out whole and the connection is idle, still held by the
@@ -283,7 +367,8 @@ class ConnectionServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: handbacks waiting, or the drain began
+  int wake_fd_ = -1;  ///< eventfd: handbacks or posts waiting, or the drain
+                      ///< began
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::mutex stop_mutex_;  // serializes start/stop callers
@@ -297,9 +382,17 @@ class ConnectionServer {
   std::size_t busy_connections_ = 0;
   bool draining_seen_ = false;
   Clock::time_point next_deadline_sweep_;
+  // The owner's watched fds, its timers by due time, and (reactor mode)
+  // the requests handled and not yet answered.
+  std::unordered_map<int, Watcher> watchers_;
+  std::map<std::pair<Clock::time_point, std::uint64_t>, std::function<void()>>
+      timers_;
+  std::uint64_t timer_serial_ = 0;
+  std::size_t in_service_ = 0;
+  bool running_queued_ = false;
 
   // mutex_ guards idle_, worker_serial_, queue_, in_system_,
-  // max_in_system_, handbacks_, lingering_, draining_, stopping_,
+  // max_in_system_, handbacks_, posted_, lingering_, draining_, stopping_,
   // the pool/admission state (workers_target_, capacity_limit_,
   // active_workers_, reject_line_), and exited_worker_ids_.
   mutable std::mutex mutex_;
@@ -309,6 +402,7 @@ class ConnectionServer {
   std::deque<Job> queue_;
   std::size_t in_system_ = 0;
   std::vector<Handback> handbacks_;
+  std::vector<std::function<void()>> posted_;
   std::size_t max_in_system_ = 0;
   bool draining_ = false;  ///< stop() began: no accepts, no reconfigure
   bool stopping_ = false;  ///< the reactor is done: idle workers exit

@@ -275,8 +275,9 @@ SessionResult run_session_replay(const SessionConfig& config) {
           logs[s].push_back(std::move(log));
         }
         if (r.outcome == CallOutcome::kRejected) {
-          // Admission turned the session away (the 503 arrives on the
-          // first read); everything after is moot.
+          // Admission turned the session away. Admission judges each
+          // line, so the 503 can answer any invocation of the session,
+          // not only the first; everything after it is moot.
           rec.rejected = true;
           break;
         }

@@ -11,13 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "poll_until.hpp"
 #include "upa/common/error.hpp"
 #include "upa/dispatch/balancer.hpp"
 #include "upa/dispatch/farm.hpp"
@@ -45,6 +49,7 @@ using upa::dispatch::UpstreamPool;
 using upa::serve::CallOutcome;
 using upa::serve::Server;
 using upa::serve::ServerConfig;
+using upa::testing::poll_until;
 
 /// Starts and immediately stops an ephemeral server, yielding a loopback
 /// port that is bound by nobody: connections to it are refused fast,
@@ -492,8 +497,8 @@ TEST(DispatchFront, PublishesPerUpstreamMetrics) {
 
 TEST(DispatchFront, ReusesPooledUpstreamConnections) {
   // Upstream connections are kept alive: 200 sequential requests open at
-  // most one connection per front worker (the initial health probe's
-  // included), not one per request.
+  // most one connection per forward in flight (the initial health
+  // probe's included), not one per request.
   Server server(live_server_config());
   server.start();
   FrontConfig config;
@@ -548,6 +553,118 @@ TEST(DispatchFront, StalePooledConnectionReconnectsWithoutTransportFailure) {
   EXPECT_EQ(second.stats().admitted, 1u);
   front.stop();
   second.stop();
+}
+
+TEST(DispatchFront, SlowUpstreamCallDoesNotStallOtherForwards) {
+  // Two forwards in flight: while one waits 0.3 s on its upstream,
+  // another client's ping must be forwarded and answered. Nothing in the
+  // front may block on an upstream.
+  Server server(live_server_config(2, 8));
+  server.start();
+  FrontConfig config;
+  config.upstreams = {{"127.0.0.1", server.port()}};
+  config.workers = 2;
+  config.health = inert_health();
+  Front front(std::move(config));
+  front.start();
+
+  std::atomic<bool> sleep_done{false};
+  std::thread sleeper([&] {
+    upa::serve::Client c;
+    c.connect("127.0.0.1", front.port());
+    upa::serve::Json params = upa::serve::Json::object();
+    params.set("seconds", upa::serve::Json(0.3));
+    EXPECT_TRUE(c.call("sleep", std::move(params)).ok());
+    sleep_done.store(true);
+  });
+  ASSERT_TRUE(poll_until([&] { return front.stats().in_system == 1; }));
+
+  upa::serve::Client pinger;
+  pinger.connect("127.0.0.1", front.port());
+  EXPECT_TRUE(pinger.call("ping", upa::serve::Json()).ok());
+  // The ping went through while the sleep was still in the front: the
+  // ping's slot frees once its answer is written, the sleep's only
+  // after 0.3 s.
+  EXPECT_FALSE(sleep_done.load());
+  EXPECT_TRUE(poll_until([&] { return front.stats().in_system == 1; }));
+  EXPECT_FALSE(sleep_done.load());
+
+  sleeper.join();
+  pinger.close();
+  front.stop();
+  server.stop();
+  EXPECT_EQ(front.stats().forwarded_ok, 2u);
+}
+
+TEST(DispatchFront, ClientHangupMidForwardReleasesSlotAndPooledConnection) {
+  // A client that hangs up while its forward is in flight still frees
+  // the forward's slot once the upstream answers, and the upstream
+  // connection goes back to the pool: the next request reuses it.
+  Server server(live_server_config(2, 8));
+  server.start();
+  FrontConfig config;
+  config.upstreams = {{"127.0.0.1", server.port()}};
+  config.workers = 2;
+  config.health = inert_health();
+  Front front(std::move(config));
+  front.start();
+
+  {
+    upa::serve::Client quitter;
+    quitter.connect("127.0.0.1", front.port());
+    quitter.send_line(
+        R"({"id": 1, "method": "sleep", "params": {"seconds": 0.2}})");
+    ASSERT_TRUE(poll_until([&] { return front.stats().admitted == 1; }));
+  }  // closed with its forward in flight
+  ASSERT_TRUE(poll_until([&] { return front.stats().in_system == 0; }));
+
+  upa::serve::Client client;
+  client.connect("127.0.0.1", front.port());
+  EXPECT_TRUE(client.call("ping", upa::serve::Json()).ok());
+  client.close();
+  // The start-up health probe's connection plus at most `workers`
+  // pooled ones.
+  EXPECT_LE(server.stats().accepted, 1u + 2u);
+  front.stop();
+  server.stop();
+  EXPECT_EQ(front.stats().completed, 2u);
+}
+
+TEST(DispatchFront, RetryBackoffIsTimerDrivenNotTickQuantized) {
+  // Round-robin over {dead, live} with a 2 ms backoff: about half of 20
+  // pings hit the dead replica first and retry once on the live one. The
+  // reactor's deadline sweep ticks every 100 ms at the default 10 s read
+  // timeout, so a backoff rounded up to the tick would take >= 1 s; a
+  // timer-driven one takes a few milliseconds per retry.
+  const std::uint16_t dead_port = claim_dead_port();
+  Server live(live_server_config());
+  live.start();
+  FrontConfig config;
+  config.upstreams = {{"127.0.0.1", dead_port}, {"127.0.0.1", live.port()}};
+  config.policy = BalancePolicy::kRoundRobin;
+  config.workers = 2;
+  config.retry.max_attempts = 3;
+  config.retry.backoff_initial_seconds = 0.002;
+  config.retry.backoff_max_seconds = 0.002;
+  config.health = inert_health();
+  ASSERT_DOUBLE_EQ(config.read_timeout_seconds, 10.0);
+  Front front(std::move(config));
+  front.start();
+
+  upa::serve::Client client;
+  client.connect("127.0.0.1", front.port());
+  const auto begin = std::chrono::steady_clock::now();
+  for (std::uint64_t id = 0; id < 20; ++id) {
+    ASSERT_TRUE(client.call("ping", upa::serve::Json(), id).ok()) << id;
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  client.close();
+  EXPECT_GE(front.stats().retries, 5u);
+  EXPECT_LT(elapsed, 0.5);
+  front.stop();
+  live.stop();
 }
 
 // --- Kill schedules from FaultPlans --------------------------------------

@@ -43,7 +43,7 @@ void print_usage(std::ostream& os) {
         "  --policy NAME           round-robin | least-outstanding |\n"
         "                          consistent-hash (default\n"
         "                          least-outstanding)\n"
-        "  --workers N             forwarding threads (default 16)\n"
+        "  --workers N             forwards in flight (default 16)\n"
         "  --max-clients N         client requests queued + forwarding;\n"
         "                          a line beyond it gets a 503\n"
         "                          (default 256)\n"

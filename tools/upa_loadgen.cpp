@@ -18,7 +18,9 @@
 //            kill -9 / restart replicas on a FaultPlan-driven schedule
 //            while replaying the loss workload, and record measured
 //            farm loss vs the perfect- and imperfect-coverage composite
-//            predictions into BENCH_farm.json (4-sigma gate).
+//            predictions into BENCH_farm.json (4-sigma gate). With
+//            --check it then gates every section of that file -- the
+//            failover gate ctest runs under the `gate` label.
 //   control  closed-loop dogfood: replay a diurnal/flash-crowd/outage
 //            lambda(t) against an in-process server once under upa_ctl's
 //            Controller and once at a fixed trough-sized (i, K); the
@@ -27,6 +29,7 @@
 //            violates it. Writes BENCH_control.json.
 
 #include <cmath>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -108,6 +111,12 @@ void print_usage(std::ostream& os) {
         "                       the replayed hits are verified (default\n"
         "                       0 = off)\n"
         "  --warm-points N      design points in the warm set (default 16)\n"
+        "  --check              after writing --out, fail unless every\n"
+        "                       section of it passed the failover gate:\n"
+        "                       within tolerance, no client transport\n"
+        "                       errors, a kill executed, and the\n"
+        "                       restarted replica warmed by anti-entropy\n"
+        "                       (pulled records, replayed hits)\n"
         "  (farm overrides: --lambda 20, --nu 10, --requests 500,\n"
         "   --call-timeout 5 -- slow services keep scheduler overhead\n"
         "   negligible against the modeled service time)\n"
@@ -334,6 +343,53 @@ int run_bench(const upa::cli::Args& args) {
   return all_within ? 0 : 1;
 }
 
+/// The farm failover gate over every section of BENCH_farm.json at
+/// `path`: prints each section's numbers and one line per broken check;
+/// true when none broke.
+bool check_farm_bench(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const upa::serve::Json sections = upa::serve::parse_json(text.str());
+  bool passed = true;
+  const auto require = [&passed](bool ok, const std::string& what) {
+    if (!ok) {
+      std::cerr << "farm check: " << what << "\n";
+      passed = false;
+    }
+  };
+  require(sections.is_object() && !sections.as_object().empty(),
+          path + " has no sections");
+  if (!sections.is_object()) return false;
+  for (const auto& [name, s] : sections.as_object()) {
+    const auto at = [&s](const char* key) {
+      const upa::serve::Json* v = s.find(key);
+      return v != nullptr && v->is_number() ? v->as_number() : std::nan("");
+    };
+    std::cout << name << ": measured=" << at("measured_loss")
+              << " imperfect=" << at("predicted_loss_imperfect")
+              << " perfect=" << at("predicted_loss_perfect")
+              << " tolerance=" << at("tolerance")
+              << " coverage=" << at("coverage")
+              << " anti_entropy_rounds=" << at("anti_entropy_rounds")
+              << " records_pulled=" << at("anti_entropy_records_pulled")
+              << " warmed_hits=" << at("warmed_hits") << std::endl;
+    require(at("within_tolerance") == 1.0,
+            name + ": measured loss outside 4-sigma gate");
+    require(at("client_transport_errors") == 0.0,
+            name + ": failover leaked transport errors to clients");
+    require(at("kills") >= 1.0, name + ": no kill executed");
+    // Warm restart: the killed replica pulled its peer's warm set itself
+    // and replayed the pre-warmed design points.
+    require(at("anti_entropy_ok") == 1.0,
+            name + ": anti-entropy warm restart failed");
+    require(at("anti_entropy_records_pulled") >= 1.0,
+            name + ": replica pulled no records");
+    require(at("warmed_hits") >= 1.0, name + ": restarted replica answered cold");
+  }
+  return passed;
+}
+
 int run_farm(const upa::cli::Args& args) {
   upa::dispatch::FarmExperimentConfig config;
   config.replica.served_binary = args.get("served-bin", "");
@@ -472,6 +528,7 @@ int run_farm(const upa::cli::Args& args) {
         static_cast<double>(r.anti_entropy_records_pulled)},
        {"anti_entropy_ok", r.anti_entropy_ok ? 1.0 : 0.0}});
   std::cout << "wrote " << out << std::endl;
+  if (args.has("check") && !check_farm_bench(out)) return 1;
 
   // Budgeted retries must fully mask the kill: any client-visible
   // transport error is a failover bug, not workload noise.
@@ -625,7 +682,7 @@ std::vector<std::string> allowed_for_mode(const std::string& mode) {
             "requests", "call-timeout", "probe-interval",
             "unhealthy-threshold", "kills", "kill-at", "kill-for",
             "kill-every", "out", "trace", "trace-csv", "warm-points",
-            "anti-entropy-ms"});
+            "anti-entropy-ms", "check"});
   } else if (mode == "control") {
     extend({"scenario", "nu", "target-loss", "duration-scale",
             "max-workers", "max-capacity", "out"});
