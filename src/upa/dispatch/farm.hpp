@@ -123,13 +123,14 @@ struct FarmExperimentConfig {
   /// Open-loop Poisson `sleep` workload through the front (see
   /// serve::run_loss_workload). Rates are deliberately slow (~100 ms
   /// services): the M/M/i/K ratios only depend on lambda/nu, and slow
-  /// services keep scheduling overhead (~ms on a loaded CI core) a
-  /// rounding error instead of a 2x inflation of the effective service
-  /// time. Utilization is kept moderate (a = lambda/nu = 2 erlangs on
-  /// N_W = 3 replicas) because the composite model pools the farm's
-  /// waiting room while the real dispatcher blocks per replica; the
-  /// approximation error of that idealization grows sharply past
-  /// a / N_W ~ 0.7.
+  /// services keep each request's fixed cost -- the front's hop and the
+  /// replica's dispatch, well under a ms -- a rounding error against the
+  /// modeled service time. Utilization is kept moderate (a = lambda/nu =
+  /// 2 erlangs on N_W = 3 replicas) because the composite model pools
+  /// the farm's waiting room, while the real farm admits per replica
+  /// (K_r lines each) and the front moves a 503 to another replica only
+  /// within its attempt budget; the approximation error of that
+  /// idealization grows sharply past a / N_W ~ 0.7.
   double lambda = 20.0;
   double nu = 10.0;
   std::size_t requests = 500;

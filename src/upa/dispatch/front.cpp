@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <future>
 #include <optional>
 #include <random>
 #include <utility>
@@ -21,21 +20,11 @@
 
 namespace upa::dispatch {
 
+using serve::CallOutcome;
+
 namespace {
 
-constexpr std::size_t kOutcomeCount = 5;  // AttemptOutcome cardinality
-
-AttemptOutcome from_call_outcome(serve::CallOutcome outcome) {
-  switch (outcome) {
-    case serve::CallOutcome::kOk: return AttemptOutcome::kOk;
-    case serve::CallOutcome::kRejected: return AttemptOutcome::kRejected;
-    case serve::CallOutcome::kDeadline: return AttemptOutcome::kDeadline;
-    case serve::CallOutcome::kError: return AttemptOutcome::kError;
-    case serve::CallOutcome::kTransportError:
-      return AttemptOutcome::kTransport;
-  }
-  return AttemptOutcome::kTransport;
-}
+constexpr std::size_t kOutcomeCount = 5;  // CallOutcome cardinality
 
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
@@ -83,10 +72,7 @@ struct Front::Forward {
   bool parsed = false;  ///< `request` holds the line's one parse
   std::uint64_t conn = 0;
   std::uint64_t seq = 0;
-  /// A client request's completion token; null for forward_line, whose
-  /// waiter is `done`.
-  void* token = nullptr;
-  std::function<void(ForwardResult)> done;
+  void* token = nullptr;  ///< the client request's completion token
   std::list<Forward>::iterator self;
   bool launching = false;  ///< inside launch(): finish() only marks it
   bool finished = false;
@@ -205,8 +191,8 @@ void Front::stop() {
   std::lock_guard<std::mutex> lock(start_stop_mutex_);
   connections_.stop();
   health_->stop();
-  // The reactor is gone: a forward_line still in flight is abandoned (its
-  // waiter sees a broken promise), and every upstream socket closes.
+  // The reactor is gone: a forward still in flight is abandoned, and
+  // every upstream socket closes.
   forwards_.clear();
   for (Pool& pool : pools_) {
     pool.idle.clear();
@@ -286,7 +272,7 @@ void Front::publish_metrics(obs::MetricsRegistry& metrics) const {
   for (std::size_t i = 0; i < latency_by_outcome_.size(); ++i) {
     const std::string name =
         "dispatch.attempt_latency_seconds." +
-        attempt_outcome_name(static_cast<AttemptOutcome>(i));
+        serve::call_outcome_name(static_cast<CallOutcome>(i));
     metrics.histogram(name, latency_by_outcome_[i].upper_bounds())
         .merge_from(latency_by_outcome_[i]);
   }
@@ -404,7 +390,7 @@ void Front::begin_attempt(Forward& f) {
 void Front::arm_deadline(Forward& f, double seconds) {
   f.timer = connections_.after(seconds, [&f, this] {
     close_link(std::move(f.link));
-    attempt_ended(f, AttemptOutcome::kTransport, {});
+    attempt_ended(f, CallOutcome::kTransportError, {});
   });
 }
 
@@ -434,7 +420,7 @@ void Front::connect_link(Forward& f) {
                           [this, raw](std::uint32_t events) {
                             on_link_ready(*raw, events);
                           })) {
-    attempt_ended(f, AttemptOutcome::kTransport, {});  // refused at once
+    attempt_ended(f, CallOutcome::kTransportError, {});  // refused at once
     return;
   }
   raw->forward = &f;
@@ -497,7 +483,7 @@ void Front::on_link_ready(Link& link, std::uint32_t events) {
     if (error != 0) {
       connections_.cancel(f.timer);
       close_link(std::move(f.link));
-      attempt_ended(f, AttemptOutcome::kTransport, {});
+      attempt_ended(f, CallOutcome::kTransportError, {});
       return;
     }
     if ((events & EPOLLOUT) == 0) return;
@@ -548,8 +534,7 @@ void Front::read_response(Forward& f) {
   // request's answer: such a connection is not pooled again.
   const bool clean = link.in.size() == newline + 1;
   link.in.clear();
-  const AttemptOutcome outcome =
-      from_call_outcome(serve::classify_response(response).outcome);
+  const CallOutcome outcome = serve::classify_response(response).outcome;
   connections_.cancel(f.timer);
   if (clean) {
     pool_link(std::move(f.link));
@@ -568,11 +553,11 @@ void Front::link_broke(Forward& f, bool before_response) {
   if (f.pooled && before_response) {
     connect_link(f);
   } else {
-    attempt_ended(f, AttemptOutcome::kTransport, {});
+    attempt_ended(f, CallOutcome::kTransportError, {});
   }
 }
 
-void Front::attempt_ended(Forward& f, AttemptOutcome outcome,
+void Front::attempt_ended(Forward& f, CallOutcome outcome,
                           std::string response) {
   const std::size_t index = f.span.upstream_index;
   f.span.end = Clock::now();
@@ -587,7 +572,7 @@ void Front::attempt_ended(Forward& f, AttemptOutcome outcome,
   f.out.attempts.push_back(ForwardAttempt{index, outcome});
   if (f.record) f.traced.push_back(f.span);
 
-  if (outcome == AttemptOutcome::kOk || outcome == AttemptOutcome::kError) {
+  if (outcome == CallOutcome::kOk || outcome == CallOutcome::kError) {
     // Definitive answers pass through verbatim; 400/404/500 are
     // deterministic and would only be recomputed by a retry.
     f.out.response_line = std::move(response);
@@ -626,12 +611,8 @@ void Front::finish(Forward& f) {
 }
 
 void Front::deliver(Forward& f) {
-  if (f.token != nullptr) {
-    count_outcome(f.out);
-    connections_.complete(f.token, std::move(f.out.response_line));
-  } else {
-    f.done(std::move(f.out));
-  }
+  count_outcome(f.out);
+  connections_.complete(f.token, std::move(f.out.response_line));
   forwards_.erase(f.self);
 }
 
@@ -677,7 +658,7 @@ std::string Front::exhausted_envelope(
   for (const ForwardAttempt& a : attempts) {
     serve::Json entry = serve::Json::object();
     entry.set("upstream", serve::Json(pool_.address(a.upstream_index).label()));
-    entry.set("outcome", serve::Json(attempt_outcome_name(a.outcome)));
+    entry.set("outcome", serve::Json(serve::call_outcome_name(a.outcome)));
     trail.push_back(std::move(entry));
   }
   // Same member order as make_error_response, plus the attempt trail.
@@ -692,28 +673,14 @@ std::string Front::exhausted_envelope(
   return envelope.dump();
 }
 
-ForwardResult Front::forward_line(const std::string& request_line) {
-  UPA_REQUIRE(running(), "forward_line requires a started front");
-  // Shared: a task or forward that stop() drops breaks the promise, so
-  // the waiter never hangs.
-  auto promise = std::make_shared<std::promise<ForwardResult>>();
-  std::future<ForwardResult> result = promise->get_future();
-  connections_.post([this, request_line, promise] {
-    Forward& f = make_forward(request_line, std::nullopt, 0, 0);
-    f.done = [promise](ForwardResult r) { promise->set_value(std::move(r)); };
-    if (launch(f)) deliver(f);
-  });
-  return result.get();
-}
-
 void Front::record_request_trace(const std::string& method,
                                  const serve::TraceContext& context,
                                  const ForwardResult& result,
                                  const std::vector<TracedAttempt>& attempts,
                                  Clock::time_point request_begin,
                                  std::uint64_t conn, std::uint64_t seq) {
-  const AttemptOutcome client_visible =
-      result.exhausted ? AttemptOutcome::kRejected : result.final_outcome;
+  const CallOutcome client_visible =
+      result.exhausted ? CallOutcome::kRejected : result.final_outcome;
 
   // The whole request's spans land as one complete batch under
   // latency_mutex_ -- the same lock the telemetry copy_spans callback
@@ -734,7 +701,7 @@ void Front::record_request_trace(const std::string& method,
   tracer_.attr(root, "parent_span", static_cast<double>(context.span_id));
   tracer_.attr(root, "conn", static_cast<double>(conn));
   tracer_.attr(root, "seq", static_cast<double>(seq));
-  tracer_.attr(root, "outcome", attempt_outcome_name(client_visible));
+  tracer_.attr(root, "outcome", serve::call_outcome_name(client_visible));
   tracer_.attr(root, "attempts", static_cast<double>(attempts.size()));
   if (result.exhausted) tracer_.attr(root, "exhausted", 1.0);
   for (const TracedAttempt& a : attempts) {
@@ -743,7 +710,7 @@ void Front::record_request_trace(const std::string& method,
         obs::TimeDomain::kWallSeconds, root);
     tracer_.attr(child, "ref", static_cast<double>(a.ref));
     tracer_.attr(child, "upstream", pool_.address(a.upstream_index).label());
-    tracer_.attr(child, "outcome", attempt_outcome_name(a.outcome));
+    tracer_.attr(child, "outcome", serve::call_outcome_name(a.outcome));
     tracer_.end(child, wall_at(a.end));
   }
   tracer_.end(root, wall_now);
@@ -833,14 +800,14 @@ void Front::count_outcome(const ForwardResult& result) {
   // Counters classify the response the client actually got: a spent
   // budget surfaces as the 503 retries_exhausted envelope, so it counts
   // as a rejection regardless of how the last attempt died.
-  const AttemptOutcome client_visible =
-      result.exhausted ? AttemptOutcome::kRejected : result.final_outcome;
+  const CallOutcome client_visible =
+      result.exhausted ? CallOutcome::kRejected : result.final_outcome;
   switch (client_visible) {
-    case AttemptOutcome::kOk: forwarded_ok_.fetch_add(1); break;
-    case AttemptOutcome::kRejected: forwarded_rejected_.fetch_add(1); break;
-    case AttemptOutcome::kDeadline: forwarded_deadline_.fetch_add(1); break;
-    case AttemptOutcome::kError: forwarded_error_.fetch_add(1); break;
-    case AttemptOutcome::kTransport:
+    case CallOutcome::kOk: forwarded_ok_.fetch_add(1); break;
+    case CallOutcome::kRejected: forwarded_rejected_.fetch_add(1); break;
+    case CallOutcome::kDeadline: forwarded_deadline_.fetch_add(1); break;
+    case CallOutcome::kError: forwarded_error_.fetch_add(1); break;
+    case CallOutcome::kTransportError:
       forwarded_transport_.fetch_add(1);
       break;
   }

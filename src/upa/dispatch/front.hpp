@@ -48,7 +48,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -144,21 +143,6 @@ struct FrontStats {
   std::size_t max_in_system = 0;
 };
 
-/// One forwarded attempt, for the exhausted envelope and tests.
-struct ForwardAttempt {
-  std::size_t upstream_index = 0;
-  AttemptOutcome outcome = AttemptOutcome::kTransport;
-};
-
-/// Outcome of forwarding one request line through the retry layer.
-struct ForwardResult {
-  std::string response_line;  ///< verbatim upstream bytes, or the
-                              ///< retries_exhausted envelope
-  AttemptOutcome final_outcome = AttemptOutcome::kTransport;
-  std::vector<ForwardAttempt> attempts;
-  bool exhausted = false;
-};
-
 class Front {
  public:
   /// Validates the config; throws ModelError on empty upstreams,
@@ -191,11 +175,6 @@ class Front {
   [[nodiscard]] FrontStats stats() const;
   [[nodiscard]] std::vector<UpstreamSnapshot> upstreams() const;
 
-  /// The retry layer, exposed for tests: forwards one raw request line
-  /// on the reactor, outside admission, and waits for the response plus
-  /// the attempt trail. Thread-safe; throws ModelError unless running.
-  [[nodiscard]] ForwardResult forward_line(const std::string& request_line);
-
   /// The one metrics path, streamed every `subscribe` tick: front totals
   /// as dispatch.* counters, per-upstream dispatch.upstream.<host:port>.*
   /// counters (outstanding and healthy are gauges), and the per-outcome
@@ -219,13 +198,28 @@ class Front {
   /// One request line on its way through the retry layer.
   struct Forward;
 
+  /// One forwarded attempt, for the exhausted envelope.
+  struct ForwardAttempt {
+    std::size_t upstream_index = 0;
+    serve::CallOutcome outcome = serve::CallOutcome::kTransportError;
+  };
+
+  /// Outcome of forwarding one request line through the retry layer.
+  struct ForwardResult {
+    std::string response_line;  ///< verbatim upstream bytes, or the
+                                ///< retries_exhausted envelope
+    serve::CallOutcome final_outcome = serve::CallOutcome::kTransportError;
+    std::vector<ForwardAttempt> attempts;
+    bool exhausted = false;
+  };
+
   /// One forwarding attempt with its trace bookkeeping: the per-process
   /// span reference stamped into the attempt's trace context (the value
   /// the upstream's serve_request span carries as parent_span) and the
   /// attempt's wall-clock window.
   struct TracedAttempt {
     std::size_t upstream_index = 0;
-    AttemptOutcome outcome = AttemptOutcome::kTransport;
+    serve::CallOutcome outcome = serve::CallOutcome::kTransportError;
     std::uint64_t ref = 0;
     Clock::time_point begin;
     Clock::time_point end;
@@ -270,11 +264,10 @@ class Front {
   void link_broke(Forward& forward, bool before_response);
   /// Books one attempt's outcome, then answers, arms the backoff timer
   /// for the next attempt, or ends with the retries_exhausted envelope.
-  void attempt_ended(Forward& forward, AttemptOutcome outcome,
+  void attempt_ended(Forward& forward, serve::CallOutcome outcome,
                      std::string response);
   void finish(Forward& forward);
-  /// Hands a finished forward's result to its client or waiter, and
-  /// frees it.
+  /// Hands a finished forward's result to its client, and frees it.
   void deliver(Forward& forward);
   void count_outcome(const ForwardResult& result);
   /// Returns a connection that read exactly one response line to its

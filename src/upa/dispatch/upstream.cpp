@@ -36,17 +36,6 @@ std::vector<UpstreamAddress> parse_upstream_list(const std::string& text) {
   return out;
 }
 
-std::string attempt_outcome_name(AttemptOutcome outcome) {
-  switch (outcome) {
-    case AttemptOutcome::kOk: return "ok";
-    case AttemptOutcome::kRejected: return "rejected";
-    case AttemptOutcome::kDeadline: return "deadline";
-    case AttemptOutcome::kError: return "error";
-    case AttemptOutcome::kTransport: return "transport_error";
-  }
-  return "?";
-}
-
 UpstreamPool::UpstreamPool(std::vector<UpstreamAddress> addresses) {
   UPA_REQUIRE(!addresses.empty(), "UpstreamPool needs at least one upstream");
   states_.reserve(addresses.size());
@@ -69,18 +58,18 @@ void UpstreamPool::begin_call(std::size_t index) {
   ++s.attempts;
 }
 
-void UpstreamPool::end_call(std::size_t index, AttemptOutcome outcome,
+void UpstreamPool::end_call(std::size_t index, serve::CallOutcome outcome,
                             double latency_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   State& s = states_.at(index);
   if (s.outstanding > 0) --s.outstanding;
   s.latency_sum_seconds += latency_seconds;
   switch (outcome) {
-    case AttemptOutcome::kOk: ++s.ok; break;
-    case AttemptOutcome::kRejected: ++s.rejected; break;
-    case AttemptOutcome::kDeadline: ++s.deadline; break;
-    case AttemptOutcome::kError: ++s.errors; break;
-    case AttemptOutcome::kTransport: ++s.transport; break;
+    case serve::CallOutcome::kOk: ++s.ok; break;
+    case serve::CallOutcome::kRejected: ++s.rejected; break;
+    case serve::CallOutcome::kDeadline: ++s.deadline; break;
+    case serve::CallOutcome::kError: ++s.errors; break;
+    case serve::CallOutcome::kTransportError: ++s.transport; break;
   }
 }
 

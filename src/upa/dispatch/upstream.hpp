@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "upa/serve/protocol.hpp"
+
 namespace upa::dispatch {
 
 /// One replica address. Dispatch speaks the same IPv4 host:port wire
@@ -56,13 +58,6 @@ struct UpstreamSnapshot {
   double latency_sum_seconds = 0.0; ///< total attempt latency (any outcome)
 };
 
-/// Attempt outcome classes recorded against an upstream; mirrors
-/// serve::CallOutcome but lives here so the pool does not depend on the
-/// client header.
-enum class AttemptOutcome { kOk, kRejected, kDeadline, kError, kTransport };
-
-[[nodiscard]] std::string attempt_outcome_name(AttemptOutcome outcome);
-
 /// Thread-safe registry. The address list is fixed at construction (the
 /// consistent-hash ring depends on it); health and counters are mutable.
 class UpstreamPool {
@@ -75,7 +70,7 @@ class UpstreamPool {
   /// Marks a forwarded call in flight / finished against `index`;
   /// `end_call` records the outcome class and the attempt latency.
   void begin_call(std::size_t index);
-  void end_call(std::size_t index, AttemptOutcome outcome,
+  void end_call(std::size_t index, serve::CallOutcome outcome,
                 double latency_seconds);
 
   /// Health-checker feedback: one probe result. Consecutive failures

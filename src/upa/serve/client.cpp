@@ -18,17 +18,6 @@
 
 namespace upa::serve {
 
-std::string call_outcome_name(CallOutcome outcome) {
-  switch (outcome) {
-    case CallOutcome::kOk: return "ok";
-    case CallOutcome::kRejected: return "rejected";
-    case CallOutcome::kDeadline: return "deadline";
-    case CallOutcome::kError: return "error";
-    case CallOutcome::kTransportError: return "transport_error";
-  }
-  return "?";
-}
-
 Client::~Client() { close(); }
 
 Client::Client(Client&& other) noexcept

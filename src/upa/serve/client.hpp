@@ -9,23 +9,9 @@
 #include <string>
 
 #include "upa/serve/json.hpp"
-#include "upa/serve/protocol.hpp"
+#include "upa/serve/protocol.hpp"  // CallOutcome, call_outcome_name
 
 namespace upa::serve {
-
-/// Outcome of one RPC round trip, classified for the load generator's
-/// bookkeeping. kRejected / kDeadline map to the 503 / 504 envelopes;
-/// kTransportError covers refused connections, resets, and unparseable
-/// response lines.
-enum class CallOutcome {
-  kOk,
-  kRejected,
-  kDeadline,
-  kError,           ///< any other error envelope (400/404/500)
-  kTransportError,
-};
-
-[[nodiscard]] std::string call_outcome_name(CallOutcome outcome);
 
 /// One response, parsed: the outcome class, the raw envelope, and the
 /// result / error members pulled out for convenience.

@@ -755,8 +755,10 @@ bool ConnectionServer::serve(Job& job) {
   std::string& response = *answer;
   response += '\n';
   Connection& conn = *job.conn;
-  const std::size_t sent = send_some(conn.fd, response);
+  // Settled before the send, as answer() does: a client holding its
+  // answer already finds the request completed.
   settle();
+  const std::size_t sent = send_some(conn.fd, response);
   if (sent == response.size() && !conn.eof &&
       conn.in.find('\n') == std::string::npos) {
     return true;  // idle: the worker lingers on it

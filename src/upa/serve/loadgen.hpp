@@ -6,17 +6,24 @@
 //    of single-request connections whose `sleep` service times are
 //    exponential draws with rate nu. The server under test is then
 //    *literally* the paper's M/M/i/K model -- i workers, K admitted
-//    connections -- and the measured rejection fraction must match
+//    request lines -- and the measured rejection fraction must match
 //    queueing::mmck_loss_probability(lambda, nu, i, K) to statistical
-//    tolerance. "Open loop" means arrivals never wait for completions:
-//    each arrival fires at its pre-drawn absolute time on its own
-//    thread, exactly like the paper's unconditioned request stream.
+//    tolerance. "Open loop" means arrivals never wait for completions,
+//    exactly like the paper's unconditioned request stream.
 //
 //  - Session replay: open-loop Poisson *session* arrivals, each walking
 //    the paper's Table 1 operational profile (class A browsers / class
 //    B buyers) as one connection issuing one evaluation RPC per visited
-//    function. Admission control applies per session, mirroring how the
+//    function. Admission control judges each request line, so a 503 can
+//    answer any invocation; it ends the session, mirroring how the
 //    paper's user either gets the web service or leaves.
+//
+// Both run on one engine. An arrival's request lines go out in order on
+// one fresh connection, opened a few ms before the arrival is due by a
+// reused generator thread, so the first line leaves at its pre-drawn
+// time. Generator threads follow the peak of arrivals in flight, up to
+// a fixed cap; a run that would need more throws ModelError ("generator
+// saturated") rather than send an arrival late.
 //
 // All randomness derives from the config seed via the sim layer's
 // Xoshiro256, so two runs against the same server issue identical
@@ -74,7 +81,7 @@ struct LossRequestLog {
   std::string method;
   CallOutcome outcome = CallOutcome::kTransportError;
   int code = 0;
-  double latency_seconds = 0.0;
+  double latency_seconds = 0.0;  ///< from the send to the answer
 };
 
 struct LossResult {
@@ -92,12 +99,18 @@ struct LossResult {
   /// sent / wall_seconds; should approach lambda when the generator
   /// keeps up with its own schedule.
   double offered_rate = 0.0;
+  /// Schedule lag: each arrival's first send minus its due time.
+  double late_p90_seconds = 0.0;
+  double late_max_seconds = 0.0;
+  /// Generator threads the run started (its peak arrivals in flight).
+  std::size_t generator_threads = 0;
   /// One entry per request, in issue order (empty unless config.trace).
   std::vector<LossRequestLog> request_log;
 };
 
 /// Runs the loss workload; throws ModelError on a config that cannot be
-/// scheduled (non-positive rates, zero requests).
+/// scheduled (non-positive rates, zero requests) and on a saturated
+/// generator.
 [[nodiscard]] LossResult run_loss_workload(const LossConfig& config);
 
 struct SessionConfig {
@@ -138,6 +151,10 @@ struct SessionResult {
   /// completed / sessions -- the service-side availability a user of
   /// this class perceives from the evaluation service itself.
   double session_success_fraction = 0.0;
+  /// Schedule lag and generator threads, as in LossResult.
+  double late_p90_seconds = 0.0;
+  double late_max_seconds = 0.0;
+  std::size_t generator_threads = 0;
   /// One entry per issued invocation, ordered by (session, invocation)
   /// (empty unless config.trace).
   std::vector<SessionInvocationLog> invocation_log;
@@ -146,7 +163,7 @@ struct SessionResult {
 /// Replays Table 1 sessions against the server; the function -> RPC
 /// mapping is fixed (Home->ping, Browse->mmck_metrics, Search->
 /// web_farm_availability, Book->user_availability, Pay->
-/// composite_availability).
+/// composite_availability). Throws ModelError like run_loss_workload.
 [[nodiscard]] SessionResult run_session_replay(const SessionConfig& config);
 
 /// One request per public RPC method over a single connection.

@@ -501,6 +501,17 @@ std::string make_trace_id(std::uint64_t seed) {
   return id;
 }
 
+std::string call_outcome_name(CallOutcome outcome) {
+  switch (outcome) {
+    case CallOutcome::kOk: return "ok";
+    case CallOutcome::kRejected: return "rejected";
+    case CallOutcome::kDeadline: return "deadline";
+    case CallOutcome::kError: return "error";
+    case CallOutcome::kTransportError: return "transport_error";
+  }
+  return "?";
+}
+
 Json make_result_response(const Json& id, Json result) {
   Json response = Json::object();
   response.set("id", id);

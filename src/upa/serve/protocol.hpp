@@ -45,6 +45,21 @@ struct ErrorCode {
   static constexpr int kDeadlineExceeded = 504;
 };
 
+/// Outcome of one request line, classified from its response: kRejected
+/// and kDeadline are the 503 / 504 envelopes; kTransportError covers
+/// refused connections, resets, and unparseable response lines. The load
+/// generator, the dispatch front and its upstream pool all count by it.
+enum class CallOutcome {
+  kOk,
+  kRejected,
+  kDeadline,
+  kError,           ///< any other error envelope (400/404/500)
+  kTransportError,
+};
+
+/// Wire and metric name: ok, rejected, deadline, error, transport_error.
+[[nodiscard]] std::string call_outcome_name(CallOutcome outcome);
+
 /// Blob-byte budget of one `cache pull` reply page. Hex doubles it on
 /// the wire, so a page stays well under the 1 MB line cap; a caller's
 /// `max_bytes` is clamped to it, and a pull without one pages at it.

@@ -39,7 +39,6 @@
 namespace {
 
 using upa::common::ModelError;
-using upa::dispatch::AttemptOutcome;
 using upa::dispatch::BalancePolicy;
 using upa::dispatch::Balancer;
 using upa::dispatch::Front;
@@ -123,11 +122,11 @@ TEST(DispatchUpstream, CallCountersTrackOutcomes) {
     EXPECT_EQ(outstanding[0], 1u);
     EXPECT_EQ(outstanding[1], 0u);
   }
-  pool.end_call(0, AttemptOutcome::kOk, 0.25);
+  pool.end_call(0, CallOutcome::kOk, 0.25);
   pool.begin_call(0);
-  pool.end_call(0, AttemptOutcome::kTransport, 0.5);
+  pool.end_call(0, CallOutcome::kTransportError, 0.5);
   pool.begin_call(1);
-  pool.end_call(1, AttemptOutcome::kRejected, 0.125);
+  pool.end_call(1, CallOutcome::kRejected, 0.125);
 
   const auto snap = pool.snapshot();
   EXPECT_EQ(snap[0].attempts, 2u);
@@ -431,38 +430,29 @@ TEST(DispatchFront, ExhaustedBudgetYieldsRetriesExhaustedEnvelope) {
   Front front(std::move(config));
   front.start();
 
-  const upa::dispatch::ForwardResult fr =
-      front.forward_line(R"({"id": 7, "method": "ping"})");
-  EXPECT_TRUE(fr.exhausted);
-  EXPECT_EQ(fr.final_outcome, AttemptOutcome::kTransport);
-  ASSERT_EQ(fr.attempts.size(), 3u);
-  // The walk alternated replicas: budget > 1 implies a failover.
-  EXPECT_NE(fr.attempts[0].upstream_index, fr.attempts[1].upstream_index);
-
-  const upa::serve::CallResult classified =
-      upa::serve::classify_response(fr.response_line);
-  EXPECT_EQ(classified.outcome, CallOutcome::kRejected);  // 503, not
-  EXPECT_EQ(classified.code, 503);                        // transport
-  EXPECT_EQ(classified.error_message, "retries_exhausted");
-  EXPECT_DOUBLE_EQ(classified.envelope.find("id")->as_number(), 7.0);
-  const upa::serve::Json* attempts =
-      classified.envelope.find("error")->find("attempts");
-  ASSERT_NE(attempts, nullptr);
-  ASSERT_EQ(attempts->as_array().size(), 3u);
-  EXPECT_EQ(attempts->as_array()[0].find("outcome")->as_string(),
-            "transport_error");
-  EXPECT_EQ(front.stats().retries_exhausted, 1u);
-
-  // Through a real connection the same exhaustion classifies as a
-  // rejection -- never as a client-visible transport error.
+  // Through a real connection the exhaustion classifies as a rejection
+  // -- never as a client-visible transport error -- and its envelope
+  // carries the attempt trail.
   upa::serve::Client client;
   client.connect("127.0.0.1", front.port());
-  const upa::serve::CallResult via_wire =
-      client.call("ping", upa::serve::Json());
-  EXPECT_EQ(via_wire.outcome, CallOutcome::kRejected);
-  EXPECT_EQ(via_wire.code, 503);
+  const upa::serve::CallResult r = client.call("ping", upa::serve::Json(), 7);
   client.close();
-  EXPECT_EQ(front.stats().retries_exhausted, 2u);
+  EXPECT_EQ(r.outcome, CallOutcome::kRejected);  // 503, not transport
+  EXPECT_EQ(r.code, 503);
+  EXPECT_EQ(r.error_message, "retries_exhausted");
+  EXPECT_DOUBLE_EQ(r.envelope.find("id")->as_number(), 7.0);
+  const upa::serve::Json* attempts =
+      r.envelope.find("error")->find("attempts");
+  ASSERT_NE(attempts, nullptr);
+  const upa::serve::Json::Array& trail = attempts->as_array();
+  ASSERT_EQ(trail.size(), 3u);
+  // The walk alternated replicas: budget > 1 implies a failover.
+  EXPECT_NE(trail[0].find("upstream")->as_string(),
+            trail[1].find("upstream")->as_string());
+  for (const upa::serve::Json& attempt : trail) {
+    EXPECT_EQ(attempt.find("outcome")->as_string(), "transport_error");
+  }
+  EXPECT_EQ(front.stats().retries_exhausted, 1u);
   EXPECT_EQ(front.stats().forwarded_rejected, 1u);
   EXPECT_EQ(front.stats().forwarded_transport, 0u);
   front.stop();

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -529,6 +534,24 @@ TEST(ServeServer, KeepAliveConnectionServesManyRequests) {
   server.stop();
   EXPECT_EQ(server.stats().requests, 20u);
   EXPECT_EQ(server.stats().accepted, 1u);  // one admission, many requests
+}
+
+TEST(ServeServer, CompletedCountsBeforeTheResponseIsRead) {
+  // A worker settles a request before its response goes out, so a
+  // client holding its answer already reads it as completed -- one read,
+  // no polling.
+  Server server(loopback_config(1, 4));
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(client.call("ping", Json(), i).ok());
+    const upa::serve::ServerStats stats = server.stats();
+    ASSERT_EQ(stats.completed, i + 1) << "ping " << i;
+    ASSERT_EQ(stats.in_system, 0u) << "ping " << i;
+  }
+  client.close();
+  server.stop();
 }
 
 // --- Both daemons: the shared connection server -------------------------
@@ -1331,7 +1354,8 @@ TEST(LoadgenLossMeasurement, MatchesAnalyticMmckLoss) {
   // lambda = 300/s against i = 2 workers at nu = 100/s with K = 4: the
   // analytic eq. (3) loss is ~0.40, so rejections are plentiful and the
   // binomial half-width is small. The tolerance is 4 sigma plus a small
-  // allowance for connect/scheduling overhead shifting effective rates.
+  // allowance for the server-side overhead that stretches each admitted
+  // line's hold a little past its Exp(nu) draw.
   constexpr double kLambda = 300.0;
   constexpr double kNu = 100.0;
   constexpr std::size_t kWorkers = 2;
@@ -1370,6 +1394,71 @@ TEST(LoadgenLossMeasurement, MatchesAnalyticMmckLoss) {
             static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(result.rejected));
   EXPECT_LE(stats.max_in_system, kCapacity);
+}
+
+TEST(LoadgenEngine, ThreadsDoNotGrowWithRequests) {
+  // Generator threads are reused: their number follows the units in
+  // flight, not the units sent, so four times the requests at the same
+  // rates start about as many threads.
+  const auto run = [](std::size_t requests) {
+    Server server(loopback_config(2, 8));
+    server.start();
+    upa::serve::LossConfig config;
+    config.port = server.port();
+    config.lambda = 1000.0;
+    config.nu = 5000.0;
+    config.requests = requests;
+    const upa::serve::LossResult result =
+        upa::serve::run_loss_workload(config);
+    server.stop();
+    const upa::serve::ServerStats stats = server.stats();
+    EXPECT_EQ(result.sent, requests);
+    EXPECT_EQ(stats.accepted, result.sent);  // one connection per unit
+    EXPECT_EQ(stats.admitted + stats.rejected, result.sent);
+    EXPECT_TRUE(std::isfinite(result.late_p90_seconds));
+    EXPECT_LE(result.late_p90_seconds, result.late_max_seconds);
+    EXPECT_GE(result.generator_threads, 1u);
+    EXPECT_LE(result.generator_threads, 64u);
+    return result.generator_threads;
+  };
+  const std::size_t few = run(500);
+  const std::size_t many = run(2000);
+  constexpr std::size_t kSlack = 8;
+  EXPECT_LE(many, few + kSlack) << "500 requests: " << few
+                                << " threads, 2000 requests: " << many;
+}
+
+TEST(LoadgenEngine, SaturatedGeneratorFailsInsteadOfDelaying) {
+  // A listener that never accepts: the kernel completes each handshake
+  // (or drops it once the backlog is full) and nobody answers, so every
+  // unit holds its generator thread until its 0.5 s timeout. Arrivals
+  // 0.2 ms apart exhaust the thread cap long before the first times out.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1024), 0);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  upa::serve::LossConfig config;
+  config.port = ntohs(addr.sin_port);
+  config.lambda = 5000.0;
+  config.requests = 400;
+  config.connect_timeout_seconds = 0.5;
+  config.call_timeout_seconds = 0.5;
+  try {
+    (void)upa::serve::run_loss_workload(config);
+    ADD_FAILURE() << "a stalled server did not saturate the generator";
+  } catch (const upa::common::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("generator saturated"),
+              std::string::npos)
+        << e.what();
+  }
+  ::close(listener);
 }
 
 }  // namespace

@@ -12,21 +12,25 @@
 //   bench    self-hosted dogfood experiment: for several (lambda, i, K)
 //            design points, start an in-process Server with i workers
 //            and capacity K, drive the loss workload, and record
-//            measured vs analytic p_K(i) into BENCH_serve.json.
+//            measured vs analytic p_K(i) into BENCH_serve.json. With
+//            --check it then gates every section of that file.
 //   farm     the paper's N_W-server farm, live: spawn --replicas real
 //            upa_served processes behind an in-process dispatch front,
 //            kill -9 / restart replicas on a FaultPlan-driven schedule
 //            while replaying the loss workload, and record measured
 //            farm loss vs the perfect- and imperfect-coverage composite
 //            predictions into BENCH_farm.json (4-sigma gate). With
-//            --check it then gates every section of that file -- the
-//            failover gate ctest runs under the `gate` label.
+//            --check it then gates every section of that file.
 //   control  closed-loop dogfood: replay a diurnal/flash-crowd/outage
 //            lambda(t) against an in-process server once under upa_ctl's
 //            Controller and once at a fixed trough-sized (i, K); the
 //            controlled run must hold the loss SLO through every
 //            transient (zero transport errors) while the baseline
-//            violates it. Writes BENCH_control.json.
+//            violates it. Writes BENCH_control.json; --check gates its
+//            summary.
+//
+// The --check runs of bench, farm and control are the ctest gates
+// tools/CMakeLists.txt registers under the `gate` label.
 
 #include <cmath>
 #include <fstream>
@@ -89,6 +93,10 @@ void print_usage(std::ostream& os) {
         "                   (loss/session/farm; ids derive from --seed)\n"
         "  --trace-csv PATH write the per-request trace log as CSV,\n"
         "                   joinable against collected spans by trace_id\n"
+        "  --check          bench/farm/control: after writing --out, fail\n"
+        "                   unless the file passes that mode's gate (bench:\n"
+        "                   >= 3 points, each within tolerance with no\n"
+        "                   transport errors; farm and control below)\n"
         "\n"
         "farm options:\n"
         "  --served-bin PATH    upa_served binary to spawn (required)\n"
@@ -129,6 +137,10 @@ void print_usage(std::ostream& os) {
         "  --duration-scale F   scales every phase duration (default 1)\n"
         "  --max-workers N      controller search cap for i (default 8)\n"
         "  --max-capacity N     controller search cap for K (default 64)\n"
+        "  --check              after writing --out, fail unless the\n"
+        "                       controlled run held every gate with no\n"
+        "                       transport errors or failed reconfigures\n"
+        "                       and the baseline broke one\n"
         "  (control overrides: --nu 12 -- ~83 ms services; the fixed\n"
         "   baseline and the controlled run both start at i=1, K=3)\n"
         "  --help           this text\n";
@@ -168,7 +180,10 @@ void print_loss(const upa::serve::LossResult& r) {
             << " mean_latency_s=" << r.mean_latency_seconds
             << " max_latency_s=" << r.max_latency_seconds
             << " offered_rate=" << r.offered_rate << "/s"
-            << " wall_s=" << r.wall_seconds << std::endl;
+            << " wall_s=" << r.wall_seconds << "\n"
+            << "late_p90_s=" << r.late_p90_seconds
+            << " late_max_s=" << r.late_max_seconds
+            << " generator_threads=" << r.generator_threads << std::endl;
 }
 
 void write_loss_trace_csv(
@@ -258,8 +273,112 @@ int run_session(const upa::cli::Args& args) {
             << " mean_invocations_per_session="
             << r.mean_invocations_per_session << "\n"
             << "session_success_fraction=" << r.session_success_fraction
-            << std::endl;
+            << "\n"
+            << "late_p90_s=" << r.late_p90_seconds
+            << " late_max_s=" << r.late_max_seconds
+            << " generator_threads=" << r.generator_threads << std::endl;
   return r.completed > 0 ? 0 : 1;
+}
+
+/// The sections of the BENCH json file at `path` (none when it holds no
+/// object) -- the one reader of every --check gate.
+upa::serve::Json::Object read_bench_sections(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const upa::serve::Json json = upa::serve::parse_json(text.str());
+  return json.is_object() ? json.as_object() : upa::serve::Json::Object{};
+}
+
+/// Number `key` of a BENCH section; NaN, which fails every check, when
+/// it is absent.
+double bench_number(const upa::serve::Json& section, const char* key) {
+  const upa::serve::Json* v = section.find(key);
+  return v != nullptr && v->is_number() ? v->as_number() : std::nan("");
+}
+
+/// One --check gate's verdict: prints one line per broken check.
+struct GateVerdict {
+  const char* gate;
+  bool passed = true;
+
+  void require(bool ok, const std::string& what) {
+    if (ok) return;
+    std::cerr << gate << " check: " << what << "\n";
+    passed = false;
+  }
+};
+
+/// The serve loss gate over BENCH_serve.json: every design point within
+/// tolerance of eq. (3) and free of transport errors.
+bool check_serve_bench(const std::string& path) {
+  const upa::serve::Json::Object sections = read_bench_sections(path);
+  GateVerdict check{"serve"};
+  check.require(sections.size() >= 3, path + " needs >= 3 sections");
+  for (const auto& [name, s] : sections) {
+    check.require(bench_number(s, "within_tolerance") == 1.0,
+                  name + ": measured loss outside tolerance");
+    check.require(bench_number(s, "transport_errors") == 0.0,
+                  name + ": transport errors during bench");
+  }
+  return check.passed;
+}
+
+/// The farm failover gate over every section of BENCH_farm.json at
+/// `path`: prints each section's numbers and one line per broken check;
+/// true when none broke.
+bool check_farm_bench(const std::string& path) {
+  const upa::serve::Json::Object sections = read_bench_sections(path);
+  GateVerdict check{"farm"};
+  check.require(!sections.empty(), path + " has no sections");
+  for (const auto& [name, s] : sections) {
+    const auto at = [&s](const char* key) { return bench_number(s, key); };
+    std::cout << name << ": measured=" << at("measured_loss")
+              << " imperfect=" << at("predicted_loss_imperfect")
+              << " perfect=" << at("predicted_loss_perfect")
+              << " tolerance=" << at("tolerance")
+              << " coverage=" << at("coverage")
+              << " anti_entropy_rounds=" << at("anti_entropy_rounds")
+              << " records_pulled=" << at("anti_entropy_records_pulled")
+              << " warmed_hits=" << at("warmed_hits") << std::endl;
+    check.require(at("within_tolerance") == 1.0,
+                  name + ": measured loss outside 4-sigma gate");
+    check.require(at("client_transport_errors") == 0.0,
+                  name + ": failover leaked transport errors to clients");
+    check.require(at("kills") >= 1.0, name + ": no kill executed");
+    // Warm restart: the killed replica pulled its peer's warm set itself
+    // and replayed the pre-warmed design points.
+    check.require(at("anti_entropy_ok") == 1.0,
+                  name + ": anti-entropy warm restart failed");
+    check.require(at("anti_entropy_records_pulled") >= 1.0,
+                  name + ": replica pulled no records");
+    check.require(at("warmed_hits") >= 1.0,
+                  name + ": restarted replica answered cold");
+  }
+  return check.passed;
+}
+
+/// The control loop gate over BENCH_control.json: the controlled run held
+/// the SLO with no transport errors and no failed reconfigure, and the
+/// fixed baseline broke it.
+bool check_control_bench(const std::string& path) {
+  upa::serve::Json summary;
+  for (const auto& [name, s] : read_bench_sections(path)) {
+    if (name == "control_summary") summary = s;
+  }
+  const auto at = [&summary](const char* key) {
+    return bench_number(summary, key);
+  };
+  GateVerdict check{"control"};
+  check.require(at("control_ok") == 1.0,
+                "controlled farm breached the loss gate");
+  check.require(at("baseline_violates") == 1.0,
+                "fixed baseline never violated: scenario is not stressing");
+  check.require(at("controlled_transport_errors") == 0.0,
+                "transport errors during controlled run");
+  check.require(at("controller_apply_failures") == 0.0,
+                "controller failed to apply a reconfigure");
+  return check.passed;
 }
 
 struct DesignPoint {
@@ -305,8 +424,10 @@ int run_bench(const upa::cli::Args& args) {
     const double analytic = upa::queueing::mmck_loss_probability(
         p.lambda, p.nu, p.workers, p.capacity);
     const double abs_error = std::abs(r.measured_loss - analytic);
-    // 4-sigma binomial half-width plus a small allowance for scheduling
-    // overhead (connect latency shifts effective arrival spacing).
+    // 4-sigma binomial half-width plus a small allowance: an admitted
+    // line holds its slot a little longer than its Exp(nu) draw (worker
+    // wake-up, sleep overshoot, the response write), which raises the
+    // effective load. The schedule itself is kept (late_p90_ms).
     const double tolerance =
         4.0 * std::sqrt(analytic * (1.0 - analytic) /
                         static_cast<double>(p.requests)) +
@@ -332,62 +453,18 @@ int run_bench(const upa::cli::Args& args) {
          {"transport_errors", static_cast<double>(r.transport_errors)},
          {"mean_latency_seconds", r.mean_latency_seconds},
          {"offered_rate", r.offered_rate},
+         {"late_p90_ms", r.late_p90_seconds * 1e3},
          {"wall_seconds", r.wall_seconds}});
 
     std::cout << section.str() << ": measured=" << r.measured_loss
               << " analytic=" << analytic << " abs_error=" << abs_error
               << " tolerance=" << tolerance
-              << (within ? " [within]" : " [OUTSIDE]") << std::endl;
+              << (within ? " [within]" : " [OUTSIDE]")
+              << " late_p90_ms=" << r.late_p90_seconds * 1e3 << std::endl;
   }
   std::cout << "wrote " << out << std::endl;
+  if (args.has("check") && !check_serve_bench(out)) return 1;
   return all_within ? 0 : 1;
-}
-
-/// The farm failover gate over every section of BENCH_farm.json at
-/// `path`: prints each section's numbers and one line per broken check;
-/// true when none broke.
-bool check_farm_bench(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream text;
-  text << in.rdbuf();
-  const upa::serve::Json sections = upa::serve::parse_json(text.str());
-  bool passed = true;
-  const auto require = [&passed](bool ok, const std::string& what) {
-    if (!ok) {
-      std::cerr << "farm check: " << what << "\n";
-      passed = false;
-    }
-  };
-  require(sections.is_object() && !sections.as_object().empty(),
-          path + " has no sections");
-  if (!sections.is_object()) return false;
-  for (const auto& [name, s] : sections.as_object()) {
-    const auto at = [&s](const char* key) {
-      const upa::serve::Json* v = s.find(key);
-      return v != nullptr && v->is_number() ? v->as_number() : std::nan("");
-    };
-    std::cout << name << ": measured=" << at("measured_loss")
-              << " imperfect=" << at("predicted_loss_imperfect")
-              << " perfect=" << at("predicted_loss_perfect")
-              << " tolerance=" << at("tolerance")
-              << " coverage=" << at("coverage")
-              << " anti_entropy_rounds=" << at("anti_entropy_rounds")
-              << " records_pulled=" << at("anti_entropy_records_pulled")
-              << " warmed_hits=" << at("warmed_hits") << std::endl;
-    require(at("within_tolerance") == 1.0,
-            name + ": measured loss outside 4-sigma gate");
-    require(at("client_transport_errors") == 0.0,
-            name + ": failover leaked transport errors to clients");
-    require(at("kills") >= 1.0, name + ": no kill executed");
-    // Warm restart: the killed replica pulled its peer's warm set itself
-    // and replayed the pre-warmed design points.
-    require(at("anti_entropy_ok") == 1.0,
-            name + ": anti-entropy warm restart failed");
-    require(at("anti_entropy_records_pulled") >= 1.0,
-            name + ": replica pulled no records");
-    require(at("warmed_hits") >= 1.0, name + ": restarted replica answered cold");
-  }
-  return passed;
 }
 
 int run_farm(const upa::cli::Args& args) {
@@ -642,6 +719,7 @@ int run_control(const upa::cli::Args& args) {
        {"controlled_transport_errors",
         static_cast<double>(r.controlled.transport_errors)}});
   std::cout << "wrote " << out << std::endl;
+  if (args.has("check") && !check_control_bench(out)) return 1;
 
   // The loop must both hold the SLO (zero transport errors included:
   // grow/shrink under load may never kill a request) and be necessary
@@ -675,7 +753,7 @@ std::vector<std::string> allowed_for_mode(const std::string& mode) {
     extend({"host", "port", "sessions", "session-rate", "class",
             "connect-timeout", "call-timeout", "trace", "trace-csv"});
   } else if (mode == "bench") {
-    extend({"out"});
+    extend({"out", "check"});
   } else if (mode == "farm") {
     extend({"served-bin", "replicas", "replica-workers",
             "replica-capacity", "policy", "retries", "lambda", "nu",
@@ -685,7 +763,7 @@ std::vector<std::string> allowed_for_mode(const std::string& mode) {
             "anti-entropy-ms", "check"});
   } else if (mode == "control") {
     extend({"scenario", "nu", "target-loss", "duration-scale",
-            "max-workers", "max-capacity", "out"});
+            "max-workers", "max-capacity", "out", "check"});
   }
   return allowed;
 }
